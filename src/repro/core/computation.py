@@ -595,13 +595,6 @@ class ComputationModel:
     #: manager initializes its latency budget from (Section 6).
     train_mean_ms: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # Telemetry only (not a dataclass field, so equality and repr
-        # are untouched): the predictions awaiting their measurement,
-        # kept while observability is on so observe_frame can emit
-        # per-task residual histograms.
-        self._last_prediction: dict[str, float] = {}
-
     @staticmethod
     def fit(
         traces: TraceSet,
@@ -658,8 +651,6 @@ class ComputationModel:
         for t in tasks:
             p = self.predictors.get(t)
             out[t] = p.predict(ctx) if p is not None else 0.0
-        if obs.get_obs().enabled:
-            self._last_prediction = dict(out)
         return out
 
     def predict_task_series(
@@ -686,15 +677,6 @@ class ComputationModel:
         self, task_ms: Mapping[str, float], ctx: PredictionContext
     ) -> None:
         """Feed the measured times of one executed frame."""
-        o = obs.get_obs()
-        if o.enabled and self._last_prediction:
-            for t, ms in task_ms.items():
-                predicted = self._last_prediction.get(t)
-                if predicted is not None:
-                    o.metrics.histogram(
-                        "predict_residual_ms", task=t
-                    ).observe(float(ms) - predicted)
-            self._last_prediction = {}
         for t, ms in task_ms.items():
             p = self.predictors.get(t)
             if p is not None:

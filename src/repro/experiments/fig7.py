@@ -62,11 +62,15 @@ def run(ctx: ExperimentContext, n_frames: int = 200) -> dict:
     seq = fig7_sequence(n_frames=n_frames)
 
     sw = run_straightforward(
-        seq, make_pipeline(seq), ctx.profile_config.make_simulator(), seq_key="sw"
+        seq,
+        make_pipeline(seq),
+        ctx.profile_config.make_simulator(),
+        seq_key="sw",
+        batched=True,
     )
     sim = ctx.profile_config.make_simulator()
     engine = FrameEngine(sim, TripleCPolicy.for_simulator(ctx.fresh_model(), sim))
-    mg = engine.run(seq, make_pipeline(seq), seq_key="mg")
+    mg = engine.run(seq, make_pipeline(seq), seq_key="mg", batched=True)
     worst_budget = float(sw.latency().max()) * 1.05
     wc = run_worst_case(
         seq,
@@ -74,6 +78,7 @@ def run(ctx: ExperimentContext, n_frames: int = 200) -> dict:
         ctx.profile_config.make_simulator(),
         worst_case_ms=worst_budget,
         seq_key="wc",
+        batched=True,
     )
 
     j_sw = jitter_metrics(sw.latency())

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Mapping as TMapping, Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro.core.computation import (
     ConstantPredictor,
     EwmaMarkovPredictor,
@@ -57,6 +58,7 @@ from repro.core.computation import (
 from repro.core.triplec import TripleC
 from repro.hw.mapping import Mapping
 from repro.imaging.pipeline import SwitchState
+from repro.util.ewma import ewma
 
 if TYPE_CHECKING:
     from repro.hw.cost import BatchCost
@@ -258,6 +260,58 @@ class BatchTaskPredictions:
             return max(_MIN_PREDICTION_MS, base + corr[j - 1])
         return float(self._by_j[task][j])
 
+    def emit_call_telemetry(
+        self, metrics: obs.MetricsRegistry, calls: TMapping[str, TMapping[int, int]]
+    ) -> None:
+        """Emit the predictor series the scalar ``predict`` calls emit.
+
+        ``calls[task][j]`` counts the scalar protocol's ``predict``
+        calls for ``task`` after ``j`` observations.  Each call of a
+        Markov-backed predictor past its warm-up counts its quantizer
+        state in ``markov_state_total``; the Eq. 1 predictor also
+        observes its long-term (EWMA) and short-term (Markov)
+        components.  Each distinct ``j`` is evaluated once here and
+        weighted by its call count, so the totals equal the scalar
+        loop's.
+        """
+        for task, by_j in calls.items():
+            p = self._model.predictors.get(task)
+            kind = type(p)
+            if kind is EwmaMarkovPredictor:
+                warm_up = 2  # an EWMA state and a first residual
+            elif kind is MarkovPredictor or kind is RoiLinearMarkovPredictor:
+                warm_up = 1
+            else:
+                continue
+            js = [j for j in by_j if j >= warm_up]
+            if not js:
+                continue
+            weights = np.array([by_j[j] for j in js])
+            last = np.array(js) - 1  # index of the latest observation
+            x = self._series[task]
+            if kind is MarkovPredictor:
+                values = x[last]
+            elif kind is RoiLinearMarkovPredictor:
+                roi = self._roi[task]
+                values = (x - (p.slope * roi + p.intercept))[last]
+            else:
+                lpf = ewma(x, p.alpha)
+                values = x[last] - lpf[last - 1]
+            states = p.chain.quantizer.states(values)
+            per_state = np.bincount(states, weights=weights)
+            for state in np.flatnonzero(per_state).tolist():
+                metrics.counter("markov_state_total", state=str(state)).inc(
+                    int(per_state[state])
+                )
+            if kind is EwmaMarkovPredictor:
+                short = p.chain.expected_next_values()[states]
+                metrics.histogram(
+                    "predict_ewma_component_ms", task=p.task
+                ).observe_many(np.repeat(lpf[last], weights).tolist())
+                metrics.histogram(
+                    "predict_markov_component_ms", task=p.task
+                ).observe_many(np.repeat(short, weights).tolist())
+
 
 def walk_scenario_predictions(
     model: TripleC,
@@ -283,6 +337,12 @@ def walk_scenario_predictions(
     loop's order: its transition matrix is recomputed from counts on
     every access, so interleaving is what keeps prediction ``k``
     identical to a scalar run that observed frames ``< k``.
+
+    With observability on, the walk also counts the scalar policies'
+    ``predict`` calls per task and observation count -- one for the
+    chosen scenario, plus one per plausible scenario when
+    ``plausible`` -- and emits the predictor series they would have
+    emitted (:meth:`BatchTaskPredictions.emit_call_telemetry`).
     """
     n = len(tape)
     preds = BatchTaskPredictions(
@@ -304,6 +364,10 @@ def walk_scenario_predictions(
     plausible_preds: list[dict[int, dict[str, float]]] | None = (
         [] if plausible else None
     )
+    # Scalar predict() calls per (task, observations so far); counted
+    # only for telemetry.
+    o = obs.get_obs()
+    calls: dict[str, dict[int, int]] | None = {} if o.enabled else None
     current = model._current_scenario
     for k in range(n):
         rk = float(roi_kpixels[k])
@@ -329,6 +393,15 @@ def walk_scenario_predictions(
             scenario_preds[s] = {
                 t: preds.predict(t, exec_count.get(t, 0), rk) for t in tasks
             }
+        if calls is not None:
+            # The policies call TripleC.predict() for the chosen
+            # scenario and, when planning robustly, plausible_predictions()
+            # once more for every plausible scenario.
+            for s in (sid, *frame_sids) if plausible else (sid,):
+                for t in active[s]:
+                    per_j = calls.setdefault(t, {})
+                    j = exec_count.get(t, 0)
+                    per_j[j] = per_j.get(j, 0) + 1
         sids[k] = sid
         frame_preds.append(scenario_preds[sid])
         if plausible_preds is not None:
@@ -342,6 +415,8 @@ def walk_scenario_predictions(
         current = actual
         for t in analyses[k].reports:
             exec_count[t] = exec_count.get(t, 0) + 1
+    if calls is not None:
+        preds.emit_call_telemetry(o.metrics, calls)
     return sids, frame_preds, plausible_preds
 
 

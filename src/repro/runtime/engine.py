@@ -224,28 +224,119 @@ class RunResult:
         return float(np.mean(self._series("cores_used", "cores_used")))
 
 
-class _FrameInstruments:
-    """The frame-loop metric instruments, resolved once per run.
+def _frame_dicts(columns: dict[str, np.ndarray], n: int) -> list[dict]:
+    """Per-frame ``{task: value}`` dicts from per-task table columns.
 
-    Instrument lookup is a registry dict hit per call; at one call per
-    metric per frame that is pure per-frame overhead
-    (``perf/invariant-attr-in-loop``), so the engine resolves the nine
-    instruments up front and reuses them for every frame.  Metric
-    names are stable API (pinned by the obs report tests).
+    Absent cells are 0 in integer (partition-count) columns and NaN
+    in time columns (see :class:`FrameTable`); keys keep the columns'
+    first-seen order, as :meth:`FrameTable.log` does.
     """
+    rows: list[dict] = [{} for _ in range(n)]
+    for task, col in columns.items():
+        present = col > 0 if col.dtype.kind == "i" else ~np.isnan(col)
+        idx = np.flatnonzero(present)
+        for i, v in zip(idx.tolist(), col[idx].tolist()):
+            rows[i][task] = v
+    return rows
 
-    def __init__(self, metrics) -> None:
-        self.frames_total = metrics.counter("runtime_frames_total")
-        self.frame_latency_ms = metrics.histogram("runtime_frame_latency_ms")
-        self.cores_in_use = metrics.gauge("runtime_cores_in_use")
-        self.residual_ms = metrics.histogram("runtime_frame_residual_ms")
-        self.scenario_hit = metrics.counter("runtime_scenario_hit_total")
-        self.scenario_miss = metrics.counter("runtime_scenario_miss_total")
-        self.deadline_miss = metrics.counter("runtime_deadline_miss_total")
-        self.quality_degraded = metrics.counter(
-            "runtime_quality_degraded_total"
-        )
-        self.repartition = metrics.counter("runtime_repartition_total")
+
+def _emit_run_telemetry(
+    o: obs.Observability,
+    seq_span: obs.Span,
+    table: FrameTable,
+    seq_key: object,
+    label: str,
+    budget_ms: float | None,
+) -> None:
+    """Emit one engine run's spans and metrics from its frame table.
+
+    Both engine loops call this once, inside the ``engine.sequence``
+    span, after the last frame is recorded.  It emits one
+    ``engine.frame`` child span per frame (stamped at emission time,
+    so span durations are not per-frame wall time; the simulated
+    latency is the ``latency_ms`` attr), a ``repartition`` event
+    wherever the partitioning changed, the ``runtime_*`` series and
+    the per-task ``predict_residual_ms`` (measured minus predicted,
+    per frame and task predicted and executed).  Every series gets
+    one batched update per run.  Metric names are stable API (pinned
+    by the obs report tests).
+    """
+    seq = str(seq_key)
+    seq_span.set(seq=seq, label=label)
+    if budget_ms is not None:
+        seq_span.set(budget_ms=budget_ms)
+    n = len(table)
+    latency = table.column("latency_ms")
+    actual = table.column("actual_scenario")
+    predicted_sid = table.column("predicted_scenario")
+    cores = table.column("cores_used")
+    quality = table.quality_names()
+    measured = table.task_columns("task_ms")
+    predicted = table.task_columns("predicted_task_ms")
+    # A frame was predicted iff its policy logged per-task predictions.
+    has_pred = np.zeros(n, dtype=bool)
+    for col in predicted.values():
+        has_pred |= ~np.isnan(col)
+
+    metrics = o.metrics
+    metrics.counter("runtime_frames_total").inc(n)
+    metrics.histogram("runtime_frame_latency_ms").observe_many(latency.tolist())
+    cores_gauge = metrics.gauge("runtime_cores_in_use")
+    if n:
+        cores_gauge.set(cores[-1])
+    frame_residual = table.column("serial_ms") - table.column("predicted_ms")
+    metrics.histogram("runtime_frame_residual_ms").observe_many(
+        frame_residual[has_pred].tolist()
+    )
+    hits = int(np.count_nonzero(has_pred & (actual == predicted_sid)))
+    metrics.counter("runtime_scenario_hit_total").inc(hits)
+    metrics.counter("runtime_scenario_miss_total").inc(
+        int(np.count_nonzero(has_pred)) - hits
+    )
+    metrics.counter("runtime_deadline_miss_total").inc(
+        int(np.count_nonzero(latency > budget_ms)) if budget_ms is not None else 0
+    )
+    metrics.counter("runtime_quality_degraded_total").inc(
+        sum(q != "full" for q in quality)
+    )
+    for task, pcol in predicted.items():
+        mcol = measured.get(task)
+        if mcol is None:
+            continue
+        both = ~(np.isnan(pcol) | np.isnan(mcol))
+        if both.any():
+            metrics.histogram("predict_residual_ms", task=task).observe_many(
+                (mcol - pcol)[both].tolist()
+            )
+
+    index = table.column("index").tolist()
+    actual_ids = actual.tolist()
+    predicted_ids = predicted_sid.tolist()
+    latency_ms = latency.tolist()
+    cores_used = cores.tolist()
+    task_ms = _frame_dicts(measured, n)
+    parts = _frame_dicts(table.task_columns("parts"), n)
+    span = o.tracer.span
+    repartitions = 0
+    previous: dict[str, int] | None = None
+    for i in range(n):
+        with span("engine.frame") as sp:
+            sp.set(
+                seq=seq,
+                frame=index[i],
+                scenario=actual_ids[i],
+                predicted_scenario=predicted_ids[i],
+                latency_ms=latency_ms[i],
+                task_ms=task_ms[i],
+                cores=cores_used[i],
+                quality=quality[i],
+            )
+            current = parts[i]
+            if previous is not None and current != previous:
+                repartitions += 1
+                sp.event("repartition", parts=dict(current), previous=previous)
+            previous = current
+    metrics.counter("runtime_repartition_total").inc(repartitions)
 
 
 class FrameEngine:
@@ -275,10 +366,10 @@ class FrameEngine:
         :class:`~repro.runtime.tape.FrameTape` and advances the whole
         sequence through the policy's vectorized batch steps --
         bit-identical to the scalar loop, several times faster.  When
-        the configuration cannot be batched (observability on, DRAM
-        contention, a policy without batch support, or a model the
-        batch walk cannot reproduce exactly) the scalar loop runs
-        instead; results are the same either way.
+        the configuration cannot be batched (DRAM contention, a policy
+        without batch support, or a model the batch walk cannot
+        reproduce exactly) the scalar loop runs instead; results and
+        telemetry are the same either way.
         """
         if batched and self._batch_supported():
             tape = record_tape(
@@ -293,51 +384,36 @@ class FrameEngine:
         result = RunResult(budget_ms=budget_ms, label=run_label, table=table)
 
         o = obs.get_obs()
-        inst = _FrameInstruments(o.metrics)
-        prev_parts: dict[str, int] | None = None
         with o.tracer.span("engine.sequence") as seq_span:
-            if o.enabled:
-                seq_span.set(seq=str(seq_key), label=run_label)
-                if budget_ms is not None:
-                    seq_span.set(budget_ms=budget_ms)
             for img, _truth in sequence.iter_frames():
-                with o.tracer.span("engine.frame") as sp:
-                    plan = self.policy.plan_frame(self, pipeline, img)
-                    analysis = pipeline.process(img)
-                    frame_res = self.simulator.simulate_frame(
-                        analysis.reports,
-                        plan.mapping,
-                        frame_key=(seq_key, analysis.index),
-                    )
-                    self.policy.observe_frame(plan, analysis, frame_res)
-                    out_ms = (
-                        delay.push(frame_res.latency_ms)
-                        if delay is not None
-                        else frame_res.latency_ms
-                    )
-
-                    self._log_frame(table, plan, analysis, frame_res, out_ms)
-                    if o.enabled:
-                        prev_parts = self._record_frame(
-                            inst,
-                            sp,
-                            seq_key,
-                            plan,
-                            table.log(-1),
-                            budget_ms,
-                            prev_parts,
-                        )
+                plan = self.policy.plan_frame(self, pipeline, img)
+                analysis = pipeline.process(img)
+                frame_res = self.simulator.simulate_frame(
+                    analysis.reports,
+                    plan.mapping,
+                    frame_key=(seq_key, analysis.index),
+                )
+                self.policy.observe_frame(plan, analysis, frame_res)
+                out_ms = (
+                    delay.push(frame_res.latency_ms)
+                    if delay is not None
+                    else frame_res.latency_ms
+                )
+                self._log_frame(table, plan, analysis, frame_res, out_ms)
+            if o.enabled:
+                _emit_run_telemetry(
+                    o, seq_span, table, seq_key, run_label, budget_ms
+                )
         return result
 
     def _batch_supported(self) -> bool:
         """Whether the current configuration can run the batched path.
 
-        Observability stays scalar: the per-frame spans and counters
-        are emitted *by* the loop, and the batch walk has no
-        equivalent events to offer.
+        Observability does not matter here: both loops emit their
+        telemetry from the frame table after the fold (see
+        :func:`_emit_run_telemetry`).  DRAM contention stretches compute
+        times by the schedule itself, so it cannot be priced up front.
         """
-        if obs.get_obs().enabled:
-            return False
         if self.simulator.dram_contention:
             return False
         policy = self.policy
@@ -391,34 +467,54 @@ class FrameEngine:
         the scheduling arithmetic and writes the frame table, and
         ``observe_frames`` replays the model feedback.  Every float
         matches the scalar loop bit for bit (pinned by the batch
-        parity suite).
+        parity suite), and so does the telemetry emitted from the
+        table afterwards.
         """
         policy = self.policy
         budget = policy.begin_run(self)
         budget_ms = budget.require() if budget is not None else None
         delay = DelayLine(budget) if budget is not None else None
         run_label = policy.label if label is None else label
-        n = len(tape)
-        table = FrameTable(capacity=n)
+        table = FrameTable(capacity=len(tape))
         result = RunResult(budget_ms=budget_ms, label=run_label, table=table)
 
-        costs = collect_batch_costs(self.simulator.cost_model, tape, seq_key)
-        plans: BatchPlans = policy.plan_frames(self, tape, costs)
-
-        simulator = self.simulator
-        n_cores = simulator.platform.n_cores
-        fold_serial = True
-        for m in plans.mappings:
-            if m.assignments or m.default_core >= n_cores:
-                fold_serial = False
-                break
-        if fold_serial:
-            task_ms_frames = self._fold_serial_frames(
-                tape, costs, plans, delay, table
-            )
+        o = obs.get_obs()
+        with o.tracer.span("engine.sequence") as seq_span:
+            costs = collect_batch_costs(self.simulator.cost_model, tape, seq_key)
+            plans: BatchPlans = policy.plan_frames(self, tape, costs)
+            n_cores = self.simulator.platform.n_cores
+            if any(
+                m.assignments or m.default_core >= n_cores
+                for m in plans.mappings
+            ):
+                task_ms_frames = self._fold_mapped_frames(
+                    tape, costs, plans, delay, table
+                )
+            else:
+                task_ms_frames = self._fold_serial_frames(
+                    tape, costs, plans, delay, table
+                )
             policy.observe_frames(self, tape, plans, task_ms_frames)
-            return result
+            if o.enabled:
+                _emit_run_telemetry(
+                    o, seq_span, table, seq_key, run_label, budget_ms
+                )
+        return result
 
+    def _fold_mapped_frames(
+        self,
+        tape: FrameTape,
+        costs: BatchCosts,
+        plans: BatchPlans,
+        delay: DelayLine | None,
+        table: FrameTable,
+    ) -> list[dict[str, float]]:
+        """Per-frame scheduling fold for plans that place tasks off the
+        serial core: each frame's pre-priced chain goes through
+        :meth:`~repro.hw.simulator.PlatformSimulator.simulate_costed_frame`.
+        Returns the per-frame measured-time dicts for ``observe_frames``.
+        """
+        simulator = self.simulator
         analyses = tape.analyses
         by_task = costs.by_task
         cursors = dict.fromkeys(by_task, 0)
@@ -431,7 +527,7 @@ class FrameEngine:
         predicted_task_ms = plans.predicted_task_ms
         add_frame = table.add_frame
         task_ms_frames: list[dict[str, float]] = []
-        for k in range(n):
+        for k in range(len(tape)):
             analysis = analyses[k]
             reports = analysis.reports
             frame_costs = {}
@@ -468,8 +564,7 @@ class FrameEngine:
                 predicted_task_ms=predicted_task_ms[k],
             )
             task_ms_frames.append(frame_res.task_ms)
-        policy.observe_frames(self, tape, plans, task_ms_frames)
-        return result
+        return task_ms_frames
 
     def _fold_serial_frames(
         self,
@@ -525,6 +620,14 @@ class FrameEngine:
             vals = out_bytes.T[inner]
             ledger.record_many("l2", vals[vals > 0.0])
         ledger.frame_done(n)
+        o = obs.get_obs()
+        if o.enabled:
+            # simulate_frame's per-frame totals, summed over the tape.
+            eviction_total = sum(
+                int(bc.eviction_bytes.sum()) for bc in by_task.values()
+            )
+            o.metrics.counter("hw_eviction_bytes_total").inc(float(eviction_total))
+            o.metrics.counter("hw_external_bytes_total").inc(float(external_total))
 
         out_ms = delay.push_many(latency) if delay is not None else latency
         p_ms = plans.predicted_ms
@@ -610,47 +713,6 @@ class FrameEngine:
                 prediction.task_ms if prediction is not None else None
             ),
         )
-
-    @staticmethod
-    def _record_frame(
-        inst: _FrameInstruments,
-        sp,
-        seq_key: object,
-        plan: FramePlan,
-        log: FrameLog,
-        budget_ms: float | None,
-        prev_parts: dict[str, int] | None,
-    ) -> dict[str, int]:
-        """Emit the per-frame telemetry (metric names are stable API)."""
-        sp.set(
-            seq=str(seq_key),
-            frame=log.index,
-            scenario=log.actual_scenario,
-            predicted_scenario=log.predicted_scenario,
-            latency_ms=log.latency_ms,
-            task_ms=dict(log.task_ms),
-            cores=log.cores_used,
-            quality=log.quality,
-        )
-        inst.frames_total.inc()
-        inst.frame_latency_ms.observe(log.latency_ms)
-        inst.cores_in_use.set(log.cores_used)
-        if plan.prediction is not None:
-            inst.residual_ms.observe(log.serial_ms - plan.prediction.frame_ms)
-            if log.actual_scenario == log.predicted_scenario:
-                inst.scenario_hit.inc()
-            else:
-                inst.scenario_miss.inc()
-        if budget_ms is not None and log.latency_ms > budget_ms:
-            inst.deadline_miss.inc()
-        if log.quality != "full":
-            inst.quality_degraded.inc()
-        if prev_parts is not None and log.parts != prev_parts:
-            inst.repartition.inc()
-            sp.event(
-                "repartition", parts=dict(log.parts), previous=prev_parts
-            )
-        return dict(log.parts)
 
 
 class TripleCPolicy:

@@ -251,6 +251,25 @@ class FrameTable:
         """Tasks with at least one measured time, in first-seen order."""
         return list(self._task_ms)
 
+    def task_columns(self, name: str) -> dict[str, np.ndarray]:
+        """Read-only per-task columns of one variable-shape field.
+
+        ``name`` is ``"parts"`` (0 = absent), ``"task_ms"`` or
+        ``"predicted_task_ms"`` (NaN = absent).  Tasks come in
+        first-seen order, the key order of :meth:`log`'s dicts.
+        """
+        cols = {
+            "parts": self._parts,
+            "task_ms": self._task_ms,
+            "predicted_task_ms": self._predicted_task_ms,
+        }[name]
+        return {t: _view(col, self._n) for t, col in cols.items()}
+
+    def quality_names(self) -> list[str]:
+        """Per-frame quality-level names."""
+        names = self._qualities
+        return [names[c] for c in self._rows["quality"][: self._n].tolist()]
+
     # -- row materialization ----------------------------------------------------
 
     def parts_at(self, i: int) -> dict[str, int]:

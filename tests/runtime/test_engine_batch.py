@@ -6,8 +6,8 @@ logged float, scenario id, partition map and per-task time -- and the
 simulator's bandwidth ledger must equal the scalar loop's exactly,
 and the policy's model must end the run in the same state.
 Configurations the batch walk cannot reproduce (quality control,
-warmed-up predictors, observability, DRAM contention) must fall back
-to the scalar loop rather than diverge.
+warmed-up predictors, DRAM contention) must fall back to the scalar
+loop rather than diverge; observability is not one of them.
 """
 
 from __future__ import annotations
@@ -194,11 +194,12 @@ class TestBatchFallback:
         assert_bit_identical(batched1, scalar1)
         assert_bit_identical(batched2, scalar2)
 
-    def test_observability_forces_scalar(self, seq, profile_config):
-        engine = FrameEngine(
-            profile_config.make_simulator(), StaticSerialPolicy()
-        )
+    def test_observability_keeps_batched_path(self, profile_config):
+        sim = profile_config.make_simulator()
+        engine = FrameEngine(sim, StaticSerialPolicy())
         with obs.observed():
+            assert engine._batch_supported()
+            sim.dram_contention = True
             assert not engine._batch_supported()
 
     def test_dram_contention_forces_scalar(self, profile_config):
