@@ -423,15 +423,20 @@ class RoiLinearMarkovPredictor:
         roi_series: Sequence[tuple[NDArray[np.float64], NDArray[np.float64]]],
         online_update: bool = False,
     ) -> "RoiLinearMarkovPredictor":
-        """Fit from per-run ``(roi_kpixels, time_ms)`` pairs."""
+        """Fit from per-run ``(roi_kpixels, time_ms)`` pairs.
+
+        A single sample (a ROI task that ran once in training) fits as
+        a constant with a zero-residual chain; no samples raise.
+        """
         rois = np.concatenate([r for r, _ in roi_series]) if roi_series else np.empty(0)
         times = np.concatenate([t for _, t in roi_series]) if roi_series else np.empty(0)
-        if times.size < 2:
-            raise ValueError("need at least 2 samples to fit the ROI model")
+        if times.size == 0:
+            raise ValueError("need at least 1 sample to fit the ROI model")
         if np.ptp(rois) > 1e-9:
             slope, intercept = np.polyfit(rois, times, 1)
         else:
-            # ROI never varied during training: constant + Markov.
+            # ROI never varied during training (or one sample):
+            # constant + Markov.
             slope, intercept = 0.0, float(times.mean())
         residual_series = [
             t - (slope * r + intercept) for r, t in roi_series if t.size >= 2

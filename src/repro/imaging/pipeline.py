@@ -22,6 +22,7 @@ simulated computation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.imaging.markers import MarkerCandidates, extract_markers
 from repro.imaging.registration import RigidTransform, register_couples
 from repro.imaging.ridge import ridge_filter, structure_precheck
 from repro.imaging.roi import Roi, estimate_roi
+from repro.imaging.zoom import DeferredZoom, zoom_report
 
 __all__ = [
     "PipelineConfig",
@@ -102,7 +104,14 @@ class SwitchState:
 
 @dataclass
 class FrameAnalysis:
-    """Everything the pipeline produced for one frame."""
+    """Everything the pipeline produced for one frame.
+
+    The presentation image is the one product nothing downstream of the
+    pipeline needs to compute timing: the ZOOM work report is derived
+    from shapes when the frame is processed, and ``render`` (``None``
+    when the frame has no output) produces the zoomed pixels on first
+    read of :attr:`output`.
+    """
 
     index: int
     switches: SwitchState
@@ -113,8 +122,13 @@ class FrameAnalysis:
     guidewire: GuidewireResult | None
     roi_used: Roi | None
     roi_next: Roi | None
-    output: NDArray[np.float32] | None
     extras: dict[str, float] = field(default_factory=dict)
+    render: DeferredZoom | None = None
+
+    @cached_property
+    def output(self) -> NDArray[np.float32] | None:
+        """The zoomed presentation image, rendered once on first read."""
+        return None if self.render is None else self.render()
 
     @property
     def scenario_id(self) -> int:
@@ -255,7 +269,7 @@ class StentBoostPipeline:
 
         guidewire: GuidewireResult | None = None
         roi_next: Roi | None = None
-        output: NDArray[np.float32] | None = None
+        render: DeferredZoom | None = None
 
         if reg_success:
             # Success path: ROI EST -> GW EXT -> ENH -> ZOOM.
@@ -272,8 +286,6 @@ class StentBoostPipeline:
             enhanced, rep = self.enhancer.enhance(img, transform)
             reports[rep.task] = rep
 
-            from repro.imaging.zoom import zoom_roi  # local: avoids cycle
-
             # Fixed presentation size: Table 1 gives ZOOM a constant
             # 4,096 KB output (2x the frame bytes -> sqrt(2) linear),
             # which is why Table 2(b) models ZOOM as a constant cost.
@@ -281,8 +293,12 @@ class StentBoostPipeline:
                 int(round(img.shape[0] * np.sqrt(2.0))),
                 int(round(img.shape[1] * np.sqrt(2.0))),
             )
-            output, rep = zoom_roi(enhanced, roi_next, output_shape=out_shape)
+            # The report needs only shapes; the pixels are rendered
+            # from a copy of the window when ``output`` is first read.
+            window = enhanced[roi_next.slices].copy()
+            rep = zoom_report(window.shape, out_shape)
             reports[rep.task] = rep
+            render = DeferredZoom(window, out_shape)
 
             if self._ref_couple is None:
                 self._ref_couple = couple
@@ -313,11 +329,11 @@ class StentBoostPipeline:
             guidewire=guidewire,
             roi_used=roi_used,
             roi_next=roi_next,
-            output=output,
             extras={
                 "roi_kpixels": (roi_used.pixels / 1000.0) if roi_used else img.size / 1000.0,
                 "lost_frames": float(self._lost_frames),
             },
+            render=render,
         )
         self._frame_index += 1
         return analysis

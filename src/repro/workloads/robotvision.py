@@ -510,7 +510,6 @@ class RobotVisionPipeline:
             guidewire=None,
             roi_used=window,
             roi_next=roi_next,
-            output=None,
             extras={
                 "roi_kpixels": (
                     (window.pixels / 1000.0) if window else img.size / 1000.0

@@ -413,7 +413,6 @@ class UltrasoundPipeline:
             guidewire=None,
             roi_used=sector_roi,
             roi_next=sector_next,
-            output=None,
             extras={
                 "roi_kpixels": (
                     (sector_roi.pixels / 1000.0)

@@ -138,7 +138,17 @@ class TestRoiLinearMarkovPredictor:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            RoiLinearMarkovPredictor.fit([(np.array([1.0]), np.array([1.0]))])
+            RoiLinearMarkovPredictor.fit([])
+        with pytest.raises(ValueError):
+            RoiLinearMarkovPredictor.fit([(np.empty(0), np.empty(0))])
+
+    def test_single_sample_fits_constant(self):
+        p = RoiLinearMarkovPredictor.fit([(np.array([80.0]), np.array([7.5]))])
+        assert p.slope == 0.0
+        assert p.intercept == 7.5
+        assert p.predict(PredictionContext(roi_kpixels=200.0)) == 7.5
+        p.observe(7.5, PredictionContext(roi_kpixels=80.0))
+        assert p.predict(PredictionContext(roi_kpixels=80.0)) == 7.5
 
 
 class TestComputationModel:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.imaging.roi import Roi
-from repro.imaging.zoom import zoom_roi
+from repro.imaging.zoom import zoom_report, zoom_roi
 
 
 class TestZoomRoi:
@@ -45,3 +47,21 @@ class TestZoomRoi:
         assert rep.pixels == 100 * 100
         assert rep.count("roi_kpixels") == pytest.approx(1.6)
         assert rep.count("out_kpixels") == pytest.approx(10.0)
+
+
+class TestZoomReport:
+    @given(
+        window=st.tuples(st.integers(1, 160), st.integers(1, 160)),
+        out=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shape_report_equals_rendered_report(self, window, out):
+        # Random output shapes give non-integer factors almost always.
+        img = np.zeros(window, dtype=np.float32)
+        rendered, rep = zoom_roi(img, Roi(0, 0, *window), output_shape=out)
+        assert rendered.shape == out
+        assert zoom_report(window, out) == rep
+
+    def test_empty_window_raises(self):
+        with pytest.raises(ValueError, match="does not intersect"):
+            zoom_report((0, 12), (24, 24))
