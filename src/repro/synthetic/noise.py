@@ -59,10 +59,12 @@ def apply_xray_noise(
     # Quantum and electronic components are independent Gaussians, so
     # their sum is a single Gaussian with the combined variance -- one
     # draw suffices (halves the RNG cost of frame rendering).
-    var = np.clip(clean, 0.0, None) * np.float32(sigma_q**2)
+    var = np.clip(clean, 0.0, None)
+    var *= np.float32(sigma_q**2)
     var += np.float32(spec.electronic_sigma**2)
-    noise = rng.standard_normal(clean.shape).astype(np.float32)
-    noise *= np.sqrt(var, out=var)
-    noisy = clean + noise
+    noisy = rng.standard_normal(clean.shape).astype(np.float32)
+    noisy *= np.sqrt(var, out=var)
+    # Float addition commutes exactly: noise + clean == clean + noise.
+    noisy += clean
     np.clip(noisy, 0.0, 1.0, out=noisy)
     return noisy

@@ -16,9 +16,17 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
+from repro.synthetic.interp import zoom_cubic
 from repro.util.rng import rng_stream
 
-__all__ = ["PhantomSpec", "Phantom", "build_phantom", "stamp_gaussian_blob", "rasterize_polyline"]
+__all__ = [
+    "PhantomSpec",
+    "Phantom",
+    "build_phantom",
+    "stamp_gaussian_blob",
+    "polyline_tube",
+    "rasterize_polyline",
+]
 
 
 @dataclass(frozen=True)
@@ -104,21 +112,28 @@ def stamp_gaussian_blob(
     )
 
 
-def rasterize_polyline(
+def polyline_tube(
     shape: tuple[int, int],
     points: NDArray[np.float64],
     width_sigma: float,
     amplitude: float = 1.0,
-) -> NDArray[np.float32]:
+) -> tuple[NDArray[np.float32], tuple[slice, slice]]:
     """Rasterize a polyline as a soft tube of Gaussian cross-section.
 
     The polyline is densely resampled (about one sample per half pixel),
     hit pixels are accumulated on a binary canvas, and a Gaussian blur
-    gives the tube its width.  This is how vessels, clutter structures
-    and the guide wire are drawn.
+    gives the tube its width.  This is how vessels, clutter structures,
+    the guide wire and the stent struts are drawn.
+
+    Only the polyline's bounding box (+4 sigma margin, clipped to
+    ``shape``) is rendered: returns ``(tube, window)``, the tube over
+    that box and the ``(rows, cols)`` slices of the box in a ``shape``
+    frame.  A caller composing layers adds or subtracts ``tube`` into
+    ``img[window]`` -- outside the box it would only add exact zeros --
+    so per-frame re-stamping of the moving wire and stent costs
+    O(structure area), not O(frame area).
     """
     h, w = shape
-    canvas = np.zeros(shape, dtype=np.float32)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("points must be (N>=2, 2) array of (row, col)")
@@ -133,9 +148,6 @@ def rasterize_polyline(
     cols = np.interp(t, cum, pts[:, 1])
     ri = np.clip(np.round(rows).astype(np.intp), 0, h - 1)
     ci = np.clip(np.round(cols).astype(np.intp), 0, w - 1)
-    # Blur only the polyline's bounding box (+4 sigma margin) instead
-    # of the whole frame: per-frame re-stamping of the moving wire and
-    # stent struts then costs O(structure area), not O(frame area).
     margin = int(np.ceil(4.0 * width_sigma)) + 1
     y0 = max(0, int(ri.min()) - margin)
     y1 = min(h, int(ri.max()) + margin + 1)
@@ -148,7 +160,19 @@ def rasterize_polyline(
     peak = float(tube.max())
     if peak > 0:
         tube *= np.float32(amplitude / peak)
-    canvas[y0:y1, x0:x1] = tube
+    return tube, (slice(y0, y1), slice(x0, x1))
+
+
+def rasterize_polyline(
+    shape: tuple[int, int],
+    points: NDArray[np.float64],
+    width_sigma: float,
+    amplitude: float = 1.0,
+) -> NDArray[np.float32]:
+    """:func:`polyline_tube` placed on a zeroed full-frame canvas."""
+    tube, window = polyline_tube(shape, points, width_sigma, amplitude)
+    canvas = np.zeros(shape, dtype=np.float32)
+    canvas[window] = tube
     return canvas
 
 
@@ -182,8 +206,7 @@ def _smooth_background(
 ) -> NDArray[np.float32]:
     """Low-frequency soft-tissue background in [0.55, 0.9]."""
     coarse = rng.normal(0.0, 1.0, size=(max(4, h // 32), max(4, w // 32)))
-    field_ = ndimage.zoom(coarse, (h / coarse.shape[0], w / coarse.shape[1]), order=3)
-    field_ = field_[:h, :w]
+    field_ = zoom_cubic(coarse, (h, w))
     field_ -= field_.min()
     rngspan = float(field_.max()) or 1.0
     base = 0.55 + 0.35 * (field_ / rngspan)
@@ -200,17 +223,19 @@ def build_phantom(spec: PhantomSpec) -> Phantom:
     vessels = np.zeros((h, w), dtype=np.float32)
     for _ in range(spec.n_vessels):
         curve = _random_curve(geo, h, w)
-        vessels += rasterize_polyline(
+        tube, window = polyline_tube(
             (h, w), curve, width_sigma=spec.vessel_width, amplitude=0.28
         )
+        vessels[window] += tube
     np.clip(vessels, 0.0, 0.45, out=vessels)
 
     clutter = np.zeros((h, w), dtype=np.float32)
     for _ in range(spec.n_clutter):
         curve = _random_curve(geo, h, w)
-        clutter += rasterize_polyline(
+        tube, window = polyline_tube(
             (h, w), curve, width_sigma=spec.vessel_width * 0.8, amplitude=0.18
         )
+        clutter[window] += tube
     np.clip(clutter, 0.0, 0.35, out=clutter)
 
     # Balloon markers sit near the frame centre on a random axis.
@@ -246,7 +271,8 @@ def build_phantom(spec: PhantomSpec) -> Phantom:
         off = perp * t0 * spec.marker_separation * 0.35
         strut = np.stack([centre - half + off, centre + half + off])
         struts.append(strut)
-        stent += rasterize_polyline((h, w), strut, width_sigma=0.7, amplitude=0.06)
+        tube, window = polyline_tube((h, w), strut, width_sigma=0.7, amplitude=0.06)
+        stent[window] += tube
     np.clip(stent, 0.0, 0.12, out=stent)
 
     extras: dict[str, object] = {

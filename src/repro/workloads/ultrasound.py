@@ -385,8 +385,13 @@ class UltrasoundPipeline:
         # its own running mean, fresh every frame (enters *and*
         # leaves narrow-sector abruptly).
         central = self._central_sector(h, w)
-        gy_f, gx_f = np.gradient(img)
-        full_energy = float((np.abs(gx_f) + np.abs(gy_f)).sum()) or 1.0
+        if sector_roi is None:
+            # ``region is img``: TRACK already took the full-frame gradient.
+            gy_f, gx_f, full_mag = gy, gx, magnitude
+        else:
+            gy_f, gx_f = np.gradient(img)
+            full_mag = np.abs(gx_f) + np.abs(gy_f)
+        full_energy = float(full_mag.sum()) or 1.0
         central_mag = (
             np.abs(gx_f[central.slices]) + np.abs(gy_f[central.slices])
         )

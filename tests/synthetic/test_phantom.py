@@ -8,6 +8,7 @@ import pytest
 from repro.synthetic.phantom import (
     PhantomSpec,
     build_phantom,
+    polyline_tube,
     rasterize_polyline,
     stamp_gaussian_blob,
 )
@@ -66,6 +67,15 @@ class TestRasterizePolyline:
         pts = np.array([[-10.0, -10.0], [80.0, 80.0]])
         tube = rasterize_polyline((64, 64), pts, width_sigma=1.0)
         assert np.all(np.isfinite(tube))
+
+    @pytest.mark.parametrize(
+        "pts", [[[10.0, 5.0], [12.0, 40.0]], [[-10.0, 70.0], [50.0, 3.0]]]
+    )
+    def test_tube_window_lies_inside_the_frame(self, pts):
+        tube, (rows, cols) = polyline_tube((64, 48), np.array(pts), width_sigma=1.2)
+        assert 0 <= rows.start < rows.stop <= 64
+        assert 0 <= cols.start < cols.stop <= 48
+        assert tube.shape == (rows.stop - rows.start, cols.stop - cols.start)
 
 
 class TestBuildPhantom:
