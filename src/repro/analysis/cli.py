@@ -21,12 +21,8 @@ refreshes the file.  The exit status is nonzero when any remaining
 finding reaches ``--fail-on`` severity (default: ``error``), making
 the command directly usable as a CI gate and as a pre-commit hook.
 
-``--incremental`` serves per-module findings from a content-hash
-cache under ``--cache-dir`` (default ``.repro-analysis-cache/``) and
-re-analyzes only changed modules plus their reverse-import closure;
-``--stats`` reports per-pass wall time and cache hits/misses on
-stderr (``--stats-json FILE`` writes the same as JSON for CI
-artifacts).
+Every run analyzes the whole tree: there is no result cache, so the
+findings a pre-commit hook sees are the ones CI gates on.
 
 Examples::
 
@@ -34,7 +30,6 @@ Examples::
     python -m repro.analysis src/repro --no-graph --format json
     python -m repro.analysis --format sarif > analysis.sarif
     python -m repro.analysis --baseline analysis-baseline.json
-    python -m repro.analysis --incremental --stats
     python -m repro.analysis --graph mygraphs.py:build_graph --fail-on warning
     python -m repro.analysis schedcheck --apps stentboost,ultrasound --cores 8
 
@@ -69,13 +64,6 @@ from repro.analysis.graphcheck import (
     ALL_SCENARIO_IDS,
     check_flowgraph,
     scenario_ids_for,
-)
-from repro.analysis.incremental import (
-    ALL_PASSES,
-    DEFAULT_CACHE_DIR,
-    AnalysisStats,
-    _Timer,
-    run_incremental,
 )
 from repro.analysis.rules import default_rules
 from repro.analysis.sarif import findings_to_sarif_json
@@ -171,31 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the perf-smell pass",
     )
     parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="serve unchanged modules from the content-hash cache; "
-        "re-analyze only changed modules and their importers",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="report per-pass wall time and cache hits/misses on stderr",
-    )
-    parser.add_argument(
-        "--stats-json",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the --stats payload as JSON (CI artifact)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
@@ -253,43 +216,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         raise SystemExit(f"no such path: {', '.join(map(str, missing))}")
 
-    passes = [
-        name
-        for name, skipped in (
-            ("lint", args.no_lint),
-            ("dataflow", args.no_dataflow),
-            ("effects", args.no_effects),
-            ("perf", args.no_perf),
-        )
-        if not skipped
-    ]
-    assert set(passes) <= set(ALL_PASSES)
-    stats = AnalysisStats()
-
-    if args.incremental:
-        result = run_incremental(roots, cache_dir=args.cache_dir, passes=passes)
-        findings += result.findings
-        stats = result.stats
-    else:
+    if not args.no_lint:
+        findings += lint_paths(roots, default_rules())
+    if not (args.no_dataflow and args.no_effects and args.no_perf):
         # One symbol table feeds every whole-program pass.
-        if "lint" in passes:
-            with _Timer(stats, "lint"):
-                findings += lint_paths(roots, default_rules())
-        table = None
-        if {"dataflow", "effects", "perf"} & set(passes):
-            with _Timer(stats, "parse"):
-                table = build_symbol_table(roots)
-        if table is not None and "dataflow" in passes:
-            with _Timer(stats, "dataflow"):
-                findings += run_dataflow(roots, table=table)
-        if table is not None and "effects" in passes:
-            with _Timer(stats, "effects"):
-                findings += run_effects(table, infer_effects(table))
-        if table is not None and "perf" in passes:
-            with _Timer(stats, "perf"):
-                findings += check_perf(table)
-        stats.analyzed = [str(f) for f in iter_source_files(roots)]
-        stats.cache_misses = len(stats.analyzed)
+        table = build_symbol_table(roots)
+        if not args.no_dataflow:
+            findings += run_dataflow(roots, table=table)
+        if not args.no_effects:
+            findings += run_effects(table, infer_effects(table))
+        if not args.no_perf:
+            findings += check_perf(table)
 
     if not args.no_graph:
         try:
@@ -318,20 +255,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
             findings += check_flowgraph(graph, platform, scenario_ids)
 
-    if not args.incremental:
-        # Inline suppressions apply to everything located at a
-        # path:line.  (The incremental engine applies them to dirty
-        # modules itself; cached findings are already post-suppression,
-        # and re-scanning clean files here would flag every marker in
-        # them as stale.)
-        markers = scan_suppressions(iter_source_files(roots))
-        findings = apply_suppressions(findings, markers)
-
-    if args.stats or args.stats_json is not None:
-        if args.stats:
-            print(stats.render(), file=sys.stderr)
-        if args.stats_json is not None:
-            args.stats_json.write_text(stats.to_json() + "\n", encoding="utf-8")
+    # Inline suppressions apply to everything located at a path:line.
+    markers = scan_suppressions(iter_source_files(roots))
+    findings = apply_suppressions(findings, markers)
 
     if args.write_baseline is not None:
         write_baseline(args.write_baseline, findings)

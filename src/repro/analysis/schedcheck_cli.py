@@ -12,17 +12,13 @@ the command drops into CI next to ``python -m repro.analysis``::
     python -m repro.analysis schedcheck --apps all --format sarif
     python -m repro.analysis schedcheck --envelope sched-envelope.json
 
-Results are served from a content-keyed cache under
-``--cache-dir/schedcheck/`` (the same directory tree the incremental
-analysis uses): the key hashes the checker and workload sources plus
-the request, so editing a workload or the checker invalidates exactly
-the affected entries.  ``--no-cache`` bypasses it.
+Every run recomputes the matrix; there is no result cache, whose key
+could miss a source the verdict depends on.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -37,11 +33,9 @@ from repro.analysis.findings import (
     findings_to_json,
     format_findings,
 )
-from repro.analysis.incremental import DEFAULT_CACHE_DIR
 from repro.analysis.sarif import findings_to_sarif_json
 from repro.analysis.schedcheck import (
     DEFAULT_REPORT_CAP,
-    SchedReport,
     check_schedulability,
     compute_envelope,
 )
@@ -51,9 +45,6 @@ __all__ = ["build_parser", "matrix_mixes", "main"]
 
 #: Sentinel for the full composite matrix.
 ALL_APPS = "all"
-
-_CACHE_SUBDIR = "schedcheck"
-_CACHE_VERSION = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,18 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(consumed by the fleet admission controller)",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always recompute; do not read or write the result cache",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
@@ -156,118 +135,6 @@ def matrix_mixes(names: Sequence[str]) -> list[tuple[str, ...]]:
     return mixes
 
 
-# -- result cache ------------------------------------------------------------
-
-
-def _source_salt() -> str:
-    """Hash over every source the checker's verdict depends on."""
-    import repro.analysis.schedcheck as schedcheck_mod
-    import repro.graph as graph_pkg
-    import repro.hw as hw_pkg
-    import repro.workloads as workloads_pkg
-
-    h = hashlib.sha256()
-    h.update(str(_CACHE_VERSION).encode())
-    files = [Path(schedcheck_mod.__file__)]
-    for pkg in (workloads_pkg, graph_pkg, hw_pkg):
-        root = Path(pkg.__file__).resolve().parent
-        files += sorted(root.rglob("*.py"))
-    for path in files:
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _cache_key(
-    salt: str,
-    apps: Sequence[str],
-    cores: int | None,
-    platform_spec: str,
-    rate_hz: float,
-    report_cap: int,
-) -> str:
-    payload = json.dumps(
-        {
-            "salt": salt,
-            "apps": list(apps),
-            "cores": cores,
-            "platform": platform_spec,
-            "rate_hz": rate_hz,
-            "report_cap": report_cap,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
-
-
-def _cache_load(path: Path) -> list[Finding] | None:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    try:
-        return [
-            Finding(
-                rule=str(e["rule"]),
-                severity=Severity.parse(str(e["severity"])),
-                location=str(e["location"]),
-                message=str(e["message"]),
-            )
-            for e in doc["findings"]
-        ]
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _cache_store(path: Path, findings: Sequence[Finding]) -> None:
-    doc = {
-        "findings": [
-            {
-                "rule": f.rule,
-                "severity": f.severity.name.lower(),
-                "location": f.location,
-                "message": f.message,
-            }
-            for f in findings
-        ],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-# -- entry point -------------------------------------------------------------
-
-
-def _run_one(
-    apps: Sequence[str],
-    platform: object,
-    args: argparse.Namespace,
-    salt: str | None,
-) -> SchedReport | list[Finding]:
-    """One mix, through the cache when enabled."""
-    if salt is not None:
-        key = _cache_key(
-            salt, apps, args.cores, args.platform, args.rate_hz,
-            args.report_cap,
-        )
-        path = args.cache_dir / _CACHE_SUBDIR / f"{key}.json"
-        cached = _cache_load(path)
-        if cached is not None:
-            return cached
-    report = check_schedulability(
-        list(apps),
-        platform,  # type: ignore[arg-type]
-        cores=args.cores,
-        rate_hz=args.rate_hz,
-        report_cap=args.report_cap,
-    )
-    if salt is not None:
-        _cache_store(path, report.findings)
-    return report
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -292,16 +159,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         mixes = [names]
 
-    salt = None if args.no_cache else _source_salt()
     findings: list[Finding] = []
     for mix in mixes:
         try:
-            result = _run_one(mix, platform, args, salt)
+            report = check_schedulability(
+                list(mix),
+                platform,  # type: ignore[arg-type]
+                cores=args.cores,
+                rate_hz=args.rate_hz,
+                report_cap=args.report_cap,
+            )
         except KeyError as exc:
             raise SystemExit(
                 f"repro.analysis schedcheck: error: {exc}"
             ) from exc
-        findings += result if isinstance(result, list) else result.findings
+        findings += report.findings
 
     if args.envelope is not None:
         envelope = compute_envelope(

@@ -18,6 +18,6 @@ over worker counts (clamped to the cores actually available) so
 See ``docs/performance.md`` for the schema and usage.
 """
 
-from repro.bench.harness import SCHEMA, SCHEMAS, machine_info, run_bench
+from repro.bench.harness import SCHEMA, machine_info, run_bench
 
-__all__ = ["SCHEMA", "SCHEMAS", "machine_info", "run_bench"]
+__all__ = ["SCHEMA", "machine_info", "run_bench"]

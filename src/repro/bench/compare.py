@@ -38,16 +38,15 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import SCHEMAS
+from repro.bench.harness import SCHEMA
 
 __all__ = ["RATIO_METRICS", "BOOL_METRICS", "compare_docs", "main"]
 
 #: Within-run ratios: machine-independent, gated with tolerance.
-#: ``engine_batch_speedup`` exists from schema v2 on,
-#: ``fleet_p99_wait_gain`` (FCFS p99 wait over prediction-aware p99
-#: wait in the fleet simulator) from v3 and ``replay_p99_wait_gain``
-#: (the same ratio on the replayed workload-trace corpus) from v4;
-#: against an older baseline a missing ratio is skipped, not failed.
+#: ``fleet_p99_wait_gain`` is FCFS p99 wait over prediction-aware p99
+#: wait in the fleet simulator and ``replay_p99_wait_gain`` the same
+#: ratio on the replayed workload-trace corpus.  A ratio missing from
+#: the baseline is skipped, not failed.
 RATIO_METRICS: tuple[str, ...] = (
     "parallel_speedup",
     "predict_batch_speedup",
@@ -58,9 +57,9 @@ RATIO_METRICS: tuple[str, ...] = (
 
 #: Correctness booleans: a true -> false transition always fails.
 #: ``fleet_deterministic`` asserts two same-seed fleet simulations
-#: produced identical SLO summaries (schema v3 on);
-#: ``replay_deterministic`` asserts the workload-trace conversion and
-#: its fleet replay are seed-stable end to end (schema v4 on).
+#: produced identical SLO summaries; ``replay_deterministic`` asserts
+#: the workload-trace conversion and its fleet replay are seed-stable
+#: end to end.
 BOOL_METRICS: tuple[str, ...] = (
     "byte_identical",
     "engine_byte_identical",
@@ -74,10 +73,8 @@ def _load(path: Path) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object")
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        raise ValueError(
-            f"{path}: schema {schema!r}, expected one of {SCHEMAS!r}"
-        )
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: schema {schema!r}, expected {SCHEMA!r}")
     results = doc.get("results")
     if not isinstance(results, dict):
         raise ValueError(f"{path}: missing 'results' object")
@@ -92,8 +89,7 @@ def _check_matrix(
     Each row's elapsed time may not exceed ``best_so_far / tolerance``
     where ``best_so_far`` is the fastest of all smaller-or-equal
     worker counts.  This is a within-run shape check -- it needs no
-    baseline row to compare against, so matrices gate even when the
-    baseline predates schema v2.
+    baseline row to compare against.
     """
     if not isinstance(rows, list) or not rows:
         failures.append("jobs_matrix: present but empty or malformed")

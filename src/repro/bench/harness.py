@@ -24,15 +24,11 @@ from repro.parallel import available_cpus, resolve_jobs
 from repro.profiling import ProfileConfig, TraceSet, profile_corpus
 from repro.synthetic import CorpusSpec, generate_corpus
 
-__all__ = ["SCHEMA", "SCHEMAS", "machine_info", "run_bench"]
+__all__ = ["SCHEMA", "machine_info", "run_bench"]
 
-#: Schema identifier written into every BENCH JSON document.
+#: Schema identifier written into every BENCH JSON document, and the
+#: only one ``repro.bench.compare`` accepts.
 SCHEMA = "repro-bench/4"
-
-#: Schemas ``repro.bench.compare`` accepts (older documents lack the
-#: engine stage, jobs matrix, fleet stage or trace-replay stage;
-#: compare skips what is absent).
-SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3", SCHEMA)
 
 #: Corpus sizes: (n_sequences, total_frames).
 _SMOKE_CORPUS = (2, 60)

@@ -11,15 +11,12 @@ Predictor documents are produced and consumed by the predictor
 registry (:mod:`repro.core.registry`); this module owns only the
 envelope.
 
-Format history:
-
-* **v1** -- ``{format_version, rate_hz, predictors, train_mean_ms,
-  scenario_counts}``.  Graph and platform were implicit.
-* **v2** -- adds ``graph`` and ``platform`` identifiers so a model
-  trained against one flow graph / hardware spec fails loudly when
-  loaded against another, instead of silently predicting garbage.
-  v1 documents still load (they predate the identifiers, so they are
-  assumed to match the builders this code reconstructs).
+Format: ``{format_version, graph, platform, rate_hz, predictors,
+train_mean_ms, scenario_counts}`` at version 2, the only version the
+loader accepts.  The ``graph`` and ``platform`` identifiers make a
+model trained against one flow graph / hardware spec fail loudly when
+loaded against another, instead of silently predicting garbage.
+(Version 1, which lacked them, is no longer read.)
 """
 
 from __future__ import annotations
@@ -43,17 +40,9 @@ from repro.core.triplec import TripleC
 from repro.hw.spec import blackford
 from repro.workloads import get_workload
 
-__all__ = ["save_model", "load_model", "FORMAT_VERSION", "GRAPH_NAME"]
+__all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 2
-
-#: Versions this loader accepts.
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Graph identifier assumed for documents that predate the workload
-#: registry (and the default ``save_model`` records): graph names are
-#: workload registry names.
-GRAPH_NAME = "stentboost"
 
 
 def _chain_to_dict(chain: MarkovChain) -> dict[str, Any]:
@@ -126,19 +115,19 @@ def load_model(path: str | Path) -> TripleC:
     ------
     ValueError
         If the document's format version is unsupported, its ``graph``
-        identifier (v2+) names no registered workload, or its
+        identifier names no registered workload, or its
         ``platform`` identifier does not match the builder this
         loader reconstructs.
     """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format {version!r} "
-            f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
+            f"(supported: {FORMAT_VERSION})"
         )
     platform = blackford()
-    doc_graph = str(doc.get("graph", GRAPH_NAME))
+    doc_graph = str(doc["graph"])
     try:
         graph = get_workload(doc_graph).build_graph()
     except KeyError:
@@ -146,7 +135,7 @@ def load_model(path: str | Path) -> TripleC:
             f"model was trained for flow graph {doc_graph!r}, which "
             "names no registered workload"
         ) from None
-    doc_platform = doc.get("platform", platform.name)
+    doc_platform = doc["platform"]
     if doc_platform != platform.name:
         raise ValueError(
             f"model was trained for platform {doc_platform!r}; "

@@ -7,9 +7,8 @@ sequence*: each shard is keyed by (calibration version, sequence
 index, the sequence's full config, the profiling configuration
 including pipeline tunables), so changing the corpus only re-profiles
 the sequences whose shard keys changed, and missing shards are
-profiled in parallel (``REPRO_JOBS`` / ``jobs=``).  A legacy
-monolithic ``traces-<key>.json`` file, when present, is split into
-shards once and then ignored.
+profiled in parallel (``REPRO_JOBS`` / ``jobs=``).  Shards are the
+only cache layout: a fresh checkout profiles its corpus once.
 
 Set ``REPRO_FAST=1`` to use a small corpus for smoke runs;
 ``REPRO_CACHE_DIR`` moves the cache.
@@ -27,7 +26,7 @@ from repro.core.triplec import TripleC
 from repro.graph.flowgraph import FlowGraph
 from repro.hw.bus import BandwidthLedger
 from repro.hw.spec import PlatformSpec
-from repro.imaging.pipeline import AnalysisPipeline, PipelineConfig
+from repro.imaging.pipeline import AnalysisPipeline
 from repro.profiling import (
     ProfileConfig,
     TraceSet,
@@ -41,8 +40,9 @@ from repro.workloads import DEFAULT_WORKLOAD, get_workload
 __all__ = ["ExperimentContext", "default_context", "make_pipeline"]
 
 #: Bump when cost-model calibration or pipeline behaviour changes, so
-#: stale cached traces are never reused.
-CALIBRATION_VERSION = "v3"
+#: stale cached traces are never reused.  (v4: a v3 shard may hold
+#: another workload's records.)
+CALIBRATION_VERSION = "v4"
 
 
 def _cache_dir() -> Path:
@@ -153,17 +153,6 @@ class ExperimentContext:
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def _legacy_cache_key(self) -> str:
-        """Key of the pre-shard monolithic cache file (migration read)."""
-        spec = self.corpus_spec
-        blob = (
-            f"{CALIBRATION_VERSION}|{spec.n_sequences}|{spec.total_frames}|"
-            f"{spec.width}|{spec.height}|{spec.base_seed}|"
-            f"{self.profile_config.pixel_scale}|{self.profile_config.seed}|"
-            f"{self.platform.name}"
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     # -- the sharded trace cache ----------------------------------------------
 
     def _shard_paths(
@@ -176,44 +165,9 @@ class ExperimentContext:
             for i, cfg in enumerate(configs)
         ]
 
-    def _migrate_legacy(self, paths: list[Path]) -> None:
-        """One-shot split of a legacy monolithic cache into shards.
-
-        The legacy key ignored the pipeline tunables (that was the
-        stale-cache bug), so the monolith is only trusted when this
-        context runs the default pipeline -- the only configuration
-        legacy files can have described.
-        """
-        if self.profile_config.pipeline != PipelineConfig():
-            return
-        legacy = _cache_dir() / f"traces-{self._legacy_cache_key()}.json"
-        if not legacy.exists():
-            return
-        monolith = TraceSet.load(legacy)
-        by_seq: dict[int, TraceSet] = {}
-        for record in monolith.records:
-            shard = by_seq.setdefault(
-                record.seq,
-                TraceSet(
-                    pixel_scale=monolith.pixel_scale,
-                    platform=monolith.platform,
-                ),
-            )
-            shard.append(record)
-        if sorted(by_seq) != list(range(len(paths))):
-            return  # monolith does not describe this corpus; ignore it
-        for seq_id, path in enumerate(paths):
-            if not path.exists():
-                # The monolith never stored per-sequence ledgers; the
-                # shard carries records only (merge_shards copes).
-                by_seq[seq_id].save(path)
-
     def _load_or_profile_traces(self) -> TraceSet:
         configs = get_workload(self.workload).corpus_configs(self.corpus_spec)
         paths = self._shard_paths(configs)
-        if any(not p.exists() for p in paths):
-            self._migrate_legacy(paths)
-
         missing = [i for i, p in enumerate(paths) if not p.exists()]
         fresh: dict[int, TraceSet] = {}
         if missing:

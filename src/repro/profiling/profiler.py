@@ -325,9 +325,9 @@ def merge_shards(shards: Sequence[TraceSet], config: ProfileConfig) -> TraceSet:
 
     Records concatenate in shard order (callers keep shards in
     sequence order); per-shard ledgers fold into one corpus ledger.
-    Shards without a ledger (e.g. migrated from a legacy monolithic
-    cache file) leave the merged ledger's totals short, so the merged
-    ``meta["ledger"]`` is only attached when every shard carried one.
+    A shard without a ledger would leave the merged ledger's totals
+    short, so the merged ``meta["ledger"]`` is only attached when every
+    shard carried one.
     """
     ts = TraceSet(
         pixel_scale=config.pixel_scale,

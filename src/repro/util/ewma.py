@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.signal import lfilter
 
 __all__ = ["EwmaFilter", "ewma", "high_low_split"]
 
@@ -106,6 +105,10 @@ def ewma(x: ArrayLike, alpha: float, initial: float | None = None) -> NDArray[np
     if decay == 0.0:
         out[:] = x  # alpha == 1 ignores history entirely
         return out
+
+    # Deferred: importing scipy.signal costs about a second, and most
+    # ``import repro`` callers never filter a batch series.
+    from scipy.signal import lfilter
 
     b = np.array([alpha])
     a = np.array([1.0, -decay])

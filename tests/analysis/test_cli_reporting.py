@@ -12,6 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis.baseline import filter_baselined, load_baseline
+from repro.analysis.findings import Severity, count_at_least
+from repro.analysis.sarif import findings_to_sarif_json
+
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -50,6 +54,13 @@ class TestDataflowFixtures:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "dataflow/" not in proc.stdout
 
+    def test_no_effects_no_perf_skip_those_passes(self):
+        proc = run_cli(
+            str(FIXTURES / "bad_effects"), "--no-graph", "--no-effects", "--no-perf"
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "effects/" not in proc.stdout
+
     def test_output_order_is_byte_stable(self):
         args = (
             str(FIXTURES / "bad_units.py"),
@@ -77,10 +88,12 @@ class TestSarifOutput:
         assert any(r["ruleId"] == "dataflow/unit-mix" for r in results)
         assert all(r["level"] in ("note", "warning", "error") for r in results)
 
-    def test_default_repo_sarif_has_no_errors(self):
-        proc = run_cli("--format", "sarif")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        doc = json.loads(proc.stdout)
+    def test_default_repo_sarif_has_no_errors(self, repo_analysis):
+        # SARIF level "error" is exactly severity ERROR (the mapping is
+        # exercised on a fixture by test_sarif_is_valid_and_fails_on_errors).
+        returncode, findings = repo_analysis
+        assert returncode == 0
+        doc = json.loads(findings_to_sarif_json(findings, {}))
         levels = {r["level"] for r in doc["runs"][0]["results"]}
         assert "error" not in levels
 
@@ -135,9 +148,13 @@ class TestBaselineWorkflow:
         assert "dataflow/pool-global-mutation" in proc.stdout
         assert "dataflow/unit-mix" not in proc.stdout  # baselined away
 
-    def test_repo_passes_with_committed_empty_baseline(self):
-        proc = run_cli("--baseline", str(REPO / "analysis-baseline.json"))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_repo_passes_with_committed_empty_baseline(self, repo_analysis):
+        # ``--baseline`` subtracts exactly what filter_baselined does
+        # (the flag is exercised on fixtures by the two tests above).
+        _, findings = repo_analysis
+        baseline = load_baseline(REPO / "analysis-baseline.json")
+        remaining = filter_baselined(findings, baseline)
+        assert count_at_least(remaining, Severity.ERROR) == 0
 
 
 class TestSuppressionWorkflow:

@@ -1,8 +1,8 @@
 """Tests for ``python -m repro.analysis schedcheck``.
 
-Exit-code semantics, byte-identical SARIF across runs, the result
-cache, the feasibility-envelope file, and the subcommand dispatch
-through the main analysis CLI.
+Exit-code semantics, byte-identical SARIF across runs, the
+feasibility-envelope file, and the subcommand dispatch through the
+main analysis CLI.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import pytest
 
 from repro.analysis.schedcheck_cli import main, matrix_mixes
 
-FEASIBLE = ["--apps", "stentboost,stentboost", "--cores", "8", "--no-cache"]
+FEASIBLE = ["--apps", "stentboost,stentboost", "--cores", "8"]
 INFEASIBLE = [
     "--apps",
     "stentboost,stentboost,stentboost,stentboost",
     "--cores",
     "1",
-    "--no-cache",
 ]
 
 
@@ -41,7 +40,7 @@ class TestExitCodes:
 
     def test_unknown_workload_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--apps", "no-such-app", "--no-cache"])
+            main(["--apps", "no-such-app"])
         capsys.readouterr()
 
     def test_bad_platform_spec_is_a_usage_error(self, capsys):
@@ -58,7 +57,7 @@ class TestMatrix:
     def test_default_matrix_exits_zero(self, capsys):
         # The acceptance gate: every registered workload alone and in
         # pairs fits the reference platform.
-        assert main(["--no-cache"]) == 0
+        assert main([]) == 0
         capsys.readouterr()
 
 
@@ -83,41 +82,6 @@ class TestDeterminism:
         assert any(f["rule"] == "sched/deadline" for f in findings)
 
 
-class TestCache:
-    def test_cached_rerun_is_identical(self, tmp_path, capsys):
-        args = [
-            "--apps",
-            "stentboost,stentboost",
-            "--cores",
-            "8",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        entries = list((tmp_path / "schedcheck").glob("*.json"))
-        assert len(entries) == 1
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert warm == cold
-
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path, capsys):
-        args = [
-            "--apps",
-            "stentboost,stentboost",
-            "--cores",
-            "8",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-        assert main(args) == 0
-        good = capsys.readouterr().out
-        (entry,) = (tmp_path / "schedcheck").glob("*.json")
-        entry.write_text("{not json", encoding="utf-8")
-        assert main(args) == 0
-        assert capsys.readouterr().out == good
-
-
 class TestEnvelope:
     def test_envelope_file_round_trips_into_the_fleet(self, tmp_path, capsys):
         out = tmp_path / "envelope.json"
@@ -126,7 +90,6 @@ class TestEnvelope:
                 [
                     "--apps",
                     "stentboost",
-                    "--no-cache",
                     "--envelope",
                     str(out),
                 ]

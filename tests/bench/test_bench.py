@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.bench import SCHEMA, SCHEMAS, machine_info, run_bench
+from repro.bench import SCHEMA, machine_info, run_bench
+from repro.bench.compare import main as compare_main
 from repro.parallel import available_cpus
 
 
@@ -34,11 +35,10 @@ class TestMachineInfo:
 
 
 class TestSchemas:
-    def test_current_schema_is_accepted(self):
-        assert SCHEMA in SCHEMAS
-
-    def test_v1_still_accepted(self):
-        assert "repro-bench/1" in SCHEMAS
+    def test_current_schema_is_accepted(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"schema": SCHEMA, "results": {}}))
+        assert compare_main(["--baseline", str(path), "--current", str(path)]) == 0
 
 
 @pytest.fixture(scope="module")

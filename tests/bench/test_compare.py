@@ -163,7 +163,7 @@ class TestCompareDocs:
         assert any("replay_deterministic" in f for f in failures)
 
     def test_v3_baseline_without_replay_metrics_skipped(self):
-        base = dict(doc(), schema="repro-bench/3")
+        base = doc()
         cur = doc(replay_p99_wait_gain=1.4, replay_deterministic=True)
         failures, notes = compare_docs(base, cur, tolerance=0.5)
         assert failures == []
@@ -172,7 +172,7 @@ class TestCompareDocs:
         )
 
     def test_v2_baseline_without_fleet_metrics_skipped(self):
-        base = dict(doc(), schema="repro-bench/2")
+        base = doc()
         cur = doc(fleet_p99_wait_gain=1.3, fleet_deterministic=True)
         failures, notes = compare_docs(base, cur, tolerance=0.5)
         assert failures == []
@@ -190,9 +190,9 @@ class TestCompareDocs:
         )
 
     def test_v1_baseline_without_engine_metrics_skipped(self):
-        # A committed repro-bench/1 baseline predates the engine
-        # stage; its absence must not fail a v2 current run.
-        base = dict(doc(), schema="repro-bench/1")
+        # A baseline without the engine stage must not fail a
+        # current run that has it.
+        base = doc()
         cur = doc(engine_batch_speedup=6.0, engine_byte_identical=True)
         failures, notes = compare_docs(base, cur, tolerance=0.5)
         assert failures == []
@@ -272,20 +272,14 @@ class TestMain:
         )
         assert "bench compare:" in capsys.readouterr().err
 
-    def test_v1_document_loads_fine(self, tmp_path, capsys):
-        base = self._write(
-            tmp_path / "base.json", dict(doc(), schema="repro-bench/1")
-        )
-        cur = self._write(tmp_path / "cur.json", doc())
-        assert main(["--baseline", base, "--current", cur]) == 0
-        assert "bench compare: ok" in capsys.readouterr().out
-
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
         base = self._write(tmp_path / "base.json", doc())
-        bad = dict(doc(), schema="other/9")
-        cur = self._write(tmp_path / "cur.json", bad)
-        assert main(["--baseline", base, "--current", cur]) == 2
-        assert "schema" in capsys.readouterr().err
+        # "repro-bench/2" is a retired schema: only the current one loads.
+        for schema in ("other/9", "repro-bench/2"):
+            bad = dict(doc(), schema=schema)
+            cur = self._write(tmp_path / "cur.json", bad)
+            assert main(["--baseline", base, "--current", cur]) == 2
+            assert "schema" in capsys.readouterr().err
 
     def test_not_an_object_exits_2(self, tmp_path):
         base = self._write(tmp_path / "base.json", doc())

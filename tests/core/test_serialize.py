@@ -153,11 +153,17 @@ class TestFormat:
     def test_version_checked(self, saved, tmp_path):
         _, path = saved
         doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION + 1
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_model(bad)
+        # v1 (no graph/platform identifiers) is retired along with any
+        # version from the future.
+        v1 = {k: v for k, v in doc.items() if k not in ("graph", "platform")}
+        for bad_doc in (
+            dict(doc, format_version=FORMAT_VERSION + 1),
+            dict(v1, format_version=1),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(bad_doc))
+            with pytest.raises(ValueError, match="unsupported model format"):
+                load_model(bad)
 
     def test_json_is_plain(self, saved):
         _, path = saved
@@ -173,34 +179,13 @@ class TestFormat:
         }
 
     def test_identifiers_recorded(self, saved):
-        from repro.core.serialize import GRAPH_NAME
         from repro.hw.spec import blackford
 
         _, path = saved
         doc = json.loads(path.read_text())
         assert doc["format_version"] == FORMAT_VERSION
-        assert doc["graph"] == GRAPH_NAME
+        assert doc["graph"] == "stentboost"
         assert doc["platform"] == blackford().name
-
-    def test_v1_document_still_loads(self, saved, tmp_path):
-        """A pre-identifier (v1) document loads and predicts
-        identically to its v2 form."""
-        _, path = saved
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 1
-        del doc["graph"]
-        del doc["platform"]
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(doc))
-        old = load_model(v1)
-        new = load_model(path)
-        old.start_sequence(initial_scenario=3)
-        new.start_sequence(initial_scenario=3)
-        for roi in (50.0, 150.0, 1048.0):
-            a, b = old.predict(roi), new.predict(roi)
-            assert a.scenario_id == b.scenario_id
-            assert a.frame_ms == b.frame_ms
-            assert a.task_ms == b.task_ms
 
     def test_graph_mismatch_rejected(self, saved, tmp_path):
         _, path = saved

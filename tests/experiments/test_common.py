@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from unittest import mock
 
 from repro.experiments.common import ExperimentContext, default_context
 from repro.imaging.pipeline import PipelineConfig
-from repro.profiling import ProfileConfig, TraceSet
-from repro.synthetic import CorpusSpec
+from repro.profiling import ProfileConfig, TraceSet, profile_corpus
+from repro.synthetic import CorpusSpec, generate_corpus
+from repro.workloads import get_workload
 
 
 class TestExperimentContext:
@@ -45,24 +47,27 @@ class TestExperimentContext:
                 assert p.stat().st_mtime_ns == mtime  # untouched
             assert [r for r in rebuilt.records] == [r for r in full.records]
 
-    def test_legacy_monolith_migrated_to_shards(self, tmp_path):
+    def test_pre_shard_monolith_never_feeds_another_workload(self, tmp_path):
+        # Plant a StentBoost trace set under the file name the removed
+        # monolithic cache used.  That name hashed the corpus and
+        # profiling parameters but not the workload, so it matched
+        # every workload's context.
         spec = CorpusSpec(n_sequences=2, total_frames=20, base_seed=99)
+        config = ProfileConfig(workload="robotvision")
+        stentboost = profile_corpus(generate_corpus(spec), ProfileConfig())
+        blob = (
+            f"v3|{spec.n_sequences}|{spec.total_frames}|{spec.width}|"
+            f"{spec.height}|{spec.base_seed}|{config.pixel_scale}|"
+            f"{config.seed}|{config.platform.name}"
+        )
+        name = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        stentboost.save(tmp_path / f"traces-{name}.json")
         with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(tmp_path)}):
-            ctx = ExperimentContext(corpus_spec=spec)
+            ctx = ExperimentContext(corpus_spec=spec, profile_config=config)
             traces = ctx.traces
-            # Re-create the pre-shard layout: one monolithic file under
-            # the legacy key, no shards.
-            legacy = tmp_path / f"traces-{ctx._legacy_cache_key()}.json"
-            traces.save(legacy)
-            for p in (tmp_path / "trace-shards").glob("shard-*.json"):
-                p.unlink()
-            migrated = ExperimentContext(corpus_spec=spec).traces
-            assert len(migrated) == len(traces)
-            assert migrated.records == traces.records
-            # The migration split the monolith instead of re-profiling:
-            # both shard files exist now.
-            shards = list((tmp_path / "trace-shards").glob("shard-*.json"))
-            assert len(shards) == spec.n_sequences
+        robotvision_tasks = set(get_workload("robotvision").build_graph().tasks)
+        assert traces.tasks()
+        assert set(traces.tasks()) <= robotvision_tasks
 
     def test_cache_key_sensitive_to_spec(self, tmp_path):
         with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(tmp_path)}):
