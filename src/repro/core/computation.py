@@ -101,6 +101,21 @@ def _floor(values: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.maximum(_MIN_PREDICTION_MS, values)
 
 
+def _chain_walk(
+    chain: MarkovChain, values: NDArray[np.float64], online_update: bool
+) -> NDArray[np.float64]:
+    """The chain's one-step prediction from each of ``values``.
+
+    A frozen chain answers every entry from its trained transitions;
+    an online-updating one from the transitions it has folded in by
+    then (:meth:`~repro.core.markov.MarkovChain.predict_next_online`).
+    Either way the chain itself is left untouched.
+    """
+    if online_update:
+        return chain.predict_next_online(values)
+    return chain.predict_next_many(values)
+
+
 def predict_series_loop(
     predictor: TaskTimePredictor,
     values: NDArray[np.float64],
@@ -111,8 +126,9 @@ def predict_series_loop(
     ``out[k]`` is what ``predict()`` returns *before* ``observe()``
     ingests ``values[k]``, starting from reset state -- the protocol
     every ``predict_series`` batch implementation must reproduce.  The
-    predictor is reset before and after, so its online state is
-    untouched as far as callers can tell.
+    predictor is reset before and after, but an online-updating chain
+    keeps every transition the walk fed it: run the loop on a deep
+    copy to leave the predictor as it was.
     """
     x = np.asarray(values, dtype=np.float64)
     out = np.empty(x.size, dtype=np.float64)
@@ -234,17 +250,16 @@ class MarkovPredictor:
     ) -> NDArray[np.float64]:
         """Batch walk-forward predictions (see :func:`predict_series_loop`).
 
-        Online updating makes each prediction depend on a mutated
-        chain, so that configuration keeps the scalar loop.
+        With online updating, prediction ``k`` reads the chain as it
+        stands after the transitions among ``x[:k]``; the walk runs on
+        a copy, so the chain keeps its state.
         """
-        if self.online_update:
-            return predict_series_loop(self, values, roi_kpixels)
         x = np.asarray(values, dtype=np.float64)
         out = np.empty(x.size, dtype=np.float64)
         if x.size == 0:
             return out
         out[0] = self._fallback
-        out[1:] = self.chain.predict_next_many(x[:-1])
+        out[1:] = _chain_walk(self.chain, x[:-1], self.online_update)
         return _floor(out)
 
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:  # noqa: ARG002
@@ -361,10 +376,9 @@ class EwmaMarkovPredictor:
         With ``lpf`` the causal EWMA of the series, the prediction for
         frame ``k >= 2`` is ``lpf[k-1] + E[next | x[k-1] - lpf[k-2]]``
         -- the same decomposition the scalar protocol walks, evaluated
-        over the whole series with one filter pass and one gather.
+        over the whole series with one filter pass and one gather (a
+        walk over a copy of the chain when it updates online).
         """
-        if self.online_update:
-            return predict_series_loop(self, values, roi_kpixels)
         x = np.asarray(values, dtype=np.float64)
         out = np.empty(x.size, dtype=np.float64)
         if x.size == 0:
@@ -376,7 +390,9 @@ class EwmaMarkovPredictor:
         out[1] = lpf[0]
         if x.size > 2:
             residuals = x[1:-1] - lpf[:-2]
-            out[2:] = lpf[1:-1] + self.chain.predict_next_many(residuals)
+            out[2:] = lpf[1:-1] + _chain_walk(
+                self.chain, residuals, self.online_update
+            )
         return _floor(out)
 
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:  # noqa: ARG002
@@ -466,8 +482,6 @@ class RoiLinearMarkovPredictor:
         roi_kpixels: NDArray[np.float64] | None = None,
     ) -> NDArray[np.float64]:
         """Batch walk-forward predictions (see :func:`predict_series_loop`)."""
-        if self.online_update:
-            return predict_series_loop(self, values, roi_kpixels)
         x = np.asarray(values, dtype=np.float64)
         if roi_kpixels is None:
             roi = np.zeros(x.size, dtype=np.float64)
@@ -478,7 +492,9 @@ class RoiLinearMarkovPredictor:
         if x.size == 0:
             return out
         out[0] = base[0]
-        out[1:] = base[1:] + self.chain.predict_next_many(x[:-1] - base[:-1])
+        out[1:] = base[1:] + _chain_walk(
+            self.chain, x[:-1] - base[:-1], self.online_update
+        )
         return _floor(out)
 
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:

@@ -295,6 +295,35 @@ class MarkovChain:
         states = self.quantizer.states(values)
         return self.expected_next_values()[states]
 
+    def predict_next_online(self, values: ArrayLike) -> NDArray[np.float64]:
+        """Walk-forward :meth:`predict_next` with online updating.
+
+        ``out[m]`` is the prediction from ``values[m]`` after
+        :meth:`observe_transition` has folded the transitions
+        ``values[i] -> values[i + 1]`` for every ``i < m`` -- what an
+        online-updating predictor reads after ``m + 1`` observations.
+        The walk runs on copies of the counts and transition matrix
+        and re-evaluates ``transition @ centers`` after every update,
+        the ops the chain itself runs, so each entry is bit-identical
+        to the scalar protocol's.  The chain is left untouched and no
+        telemetry is emitted.
+        """
+        states = self.quantizer.states(values).tolist()
+        out = np.empty(len(states), dtype=np.float64)
+        if not states:
+            return out
+        counts = self.counts.copy(order="K")
+        transition = self.transition.copy(order="K")
+        centers = self.quantizer.centers
+        out[0] = (transition @ centers)[states[0]]
+        for m in range(1, len(states)):
+            i, j = states[m - 1], states[m]
+            counts[i, j] += 1.0
+            row = counts[i]
+            transition[i] = row / row.sum()
+            out[m] = (transition @ centers)[j]
+        return out
+
     def next_distribution(self, state: int) -> NDArray[np.float64]:
         """Transition row of ``state``."""
         return self.transition[state].copy()

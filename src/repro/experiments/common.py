@@ -131,15 +131,6 @@ class ExperimentContext:
             f"{pipe.reset_after_lost}"
         )
 
-    def _cache_key(self) -> str:
-        """Corpus-level cache key (fingerprint + corpus parameters)."""
-        spec = self.corpus_spec
-        blob = (
-            f"{self._profile_fingerprint()}|{spec.n_sequences}|"
-            f"{spec.total_frames}|{spec.width}|{spec.height}|{spec.base_seed}"
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def _shard_key(self, seq_id: int, config: SequenceConfig) -> str:
         """Per-sequence shard key.
 

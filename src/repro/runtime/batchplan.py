@@ -18,8 +18,8 @@ holds the machinery that makes that both fast and *bit-exact*:
     and it is only possible because compute times are
     mapping-independent (``dram_contention`` off): the engine can
     price every execution *before* planning, so the observation
-    series each online predictor would have ingested is known up
-    front.
+    series each predictor -- online-updating chains included --
+    would have ingested is known up front.
 
 :func:`walk_scenario_predictions`
     The scenario-table walk.  The table's transition matrix derives
@@ -34,7 +34,7 @@ holds the machinery that makes that both fast and *bit-exact*:
     would have left it in.
 
 Configurations whose predictions cannot be decomposed this way --
-online-updating chains, scenario-conditioned predictors, or any
+scenario-conditioned predictors, warmed-up predictors, or any
 externally registered backend -- are detected by
 :func:`model_batchable` and fall back to the scalar loop.
 """
@@ -54,6 +54,7 @@ from repro.core.computation import (
     PredictionContext,
     RoiLinearMarkovPredictor,
     _MIN_PREDICTION_MS,
+    _chain_walk,
 )
 from repro.core.triplec import TripleC
 from repro.hw.mapping import Mapping
@@ -107,18 +108,13 @@ def _fresh(p) -> bool:
 def model_batchable(model) -> bool:
     """Whether every predictor of a computation model can be batched.
 
-    Requires each predictor to (a) be one of the analytically
-    decomposable built-ins, (b) not update its chain online, and
-    (c) be in reset state (see :func:`_fresh`).
+    Requires each predictor to (a) be one of the decomposable
+    built-ins and (b) be in reset state (see :func:`_fresh`).
     """
-    for p in model.predictors.values():
-        if type(p) not in _BATCHABLE_PREDICTORS:
-            return False
-        if getattr(p, "online_update", False):
-            return False
-        if not _fresh(p):
-            return False
-    return True
+    return all(
+        type(p) in _BATCHABLE_PREDICTORS and _fresh(p)
+        for p in model.predictors.values()
+    )
 
 
 class BatchCosts:
@@ -207,6 +203,10 @@ class BatchTaskPredictions:
     * ROI-linear: the Markov correction ``corr[j-1]`` is computed
       over the execution-time residuals once; the linear term is
       evaluated per prediction site.
+
+    An online-updating chain is walked over a copy
+    (:meth:`~repro.core.markov.MarkovChain.predict_next_online`);
+    only :func:`replay_observes` trains the real one.
     """
 
     def __init__(
@@ -236,11 +236,8 @@ class BatchTaskPredictions:
             roi = self._roi.get(task)
             if roi is None:
                 roi = np.zeros(x.size)
-            if x.size:
-                residuals = x - (p.slope * roi + p.intercept)
-                corr = p.chain.predict_next_many(residuals)
-            else:
-                corr = np.empty(0)
+            residuals = x - (p.slope * roi + p.intercept)
+            corr = _chain_walk(p.chain, residuals, p.online_update)
             self._roi_linear[task] = (p.slope, p.intercept, corr)
             return
         self._by_j[task] = p.predict_series(np.append(x, 0.0))
@@ -272,7 +269,7 @@ class BatchTaskPredictions:
         observes its long-term (EWMA) and short-term (Markov)
         components.  Each distinct ``j`` is evaluated once here and
         weighted by its call count, so the totals equal the scalar
-        loop's.
+        loop's, and an online chain answers as it stood after ``j``.
         """
         for task, by_j in calls.items():
             p = self._model.predictors.get(task)
@@ -296,7 +293,8 @@ class BatchTaskPredictions:
                 values = (x - (p.slope * roi + p.intercept))[last]
             else:
                 lpf = ewma(x, p.alpha)
-                values = x[last] - lpf[last - 1]
+                residuals = x[1:] - lpf[:-1]
+                values = residuals[last - 1]
             states = p.chain.quantizer.states(values)
             per_state = np.bincount(states, weights=weights)
             for state in np.flatnonzero(per_state).tolist():
@@ -304,7 +302,7 @@ class BatchTaskPredictions:
                     int(per_state[state])
                 )
             if kind is EwmaMarkovPredictor:
-                short = p.chain.expected_next_values()[states]
+                short = _chain_walk(p.chain, residuals, p.online_update)[last - 1]
                 metrics.histogram(
                     "predict_ewma_component_ms", task=p.task
                 ).observe_many(np.repeat(lpf[last], weights).tolist())

@@ -366,10 +366,10 @@ class FrameEngine:
         :class:`~repro.runtime.tape.FrameTape` and advances the whole
         sequence through the policy's vectorized batch steps --
         bit-identical to the scalar loop, several times faster.  When
-        the configuration cannot be batched (DRAM contention, a policy
-        without batch support, or a model the batch walk cannot
-        reproduce exactly) the scalar loop runs instead; results and
-        telemetry are the same either way.
+        the configuration cannot be batched (DRAM contention, a quality
+        controller, a policy without batch steps, or a warmed-up or
+        non-built-in predictor; see :func:`model_batchable`) the scalar
+        loop runs instead; results and telemetry are the same either way.
         """
         if batched and self._batch_supported():
             tape = record_tape(

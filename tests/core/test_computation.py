@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -239,12 +241,35 @@ class TestPredictSeries:
     def test_online_update_falls_back_to_loop(self):
         x = self._series(25)
         p = EwmaMarkovPredictor.fit([x[:200]], online_update=True)
-        # With online updates the chain mutates during evaluation; the
-        # batch API must still agree because it IS the loop then.
+        # With online updates each prediction reads the chain as the
+        # loop has mutated it by then; the batch walk must agree.
         a = p.predict_series(x)
         p2 = EwmaMarkovPredictor.fit([x[:200]], online_update=True)
         b = predict_series_loop(p2, x)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "kind", [MarkovPredictor, EwmaMarkovPredictor, RoiLinearMarkovPredictor]
+    )
+    def test_online_series_leaves_chain_untrained(self, kind):
+        """An online chain answers the walk from copies: evaluating a
+        series must not fold it into the predictor's own chain."""
+        rng = np.random.default_rng(28)
+        roi = np.abs(rng.normal(50, 10, 400))
+        x = 0.1 * roi + self._series(28)
+        if kind is RoiLinearMarkovPredictor:
+            p = kind.fit([(roi[:200], x[:200])], online_update=True)
+        else:
+            p = kind.fit([x[:200]], online_update=True)
+        counts = p.chain.counts.copy()
+        transition = p.chain.transition.copy()
+        reference = predict_series_loop(copy.deepcopy(p), x, roi)
+        first = p.predict_series(x, roi)
+        second = p.predict_series(x, roi)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(p.chain.counts, counts)
+        np.testing.assert_array_equal(p.chain.transition, transition)
+        np.testing.assert_array_equal(first, reference)
 
     def test_series_leaves_online_state_reset(self):
         x = self._series(26)

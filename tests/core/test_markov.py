@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.core.markov import (
     AdaptiveQuantizer,
     MarkovChain,
@@ -189,6 +190,34 @@ class TestVectorizedPrediction:
         batch = chain.predict_next_many(values)
         scalar = np.array([chain.predict_next(v) for v in values])
         np.testing.assert_array_equal(batch, scalar)
+
+    def test_predict_next_online_matches_scalar_walk(self):
+        rng = np.random.default_rng(16)
+        chain = MarkovChain.fit([rng.normal(10, 2, 300)])
+        values = rng.normal(11, 3, 400)
+        counts = chain.counts.copy()
+        transition = chain.transition.copy()
+        walk = chain.predict_next_online(values)
+        # The walk ran on copies and left the chain as it was.
+        np.testing.assert_array_equal(chain.counts, counts)
+        np.testing.assert_array_equal(chain.transition, transition)
+        scalar = []
+        for m, v in enumerate(values):
+            if m:
+                chain.observe_transition(values[m - 1], v)
+            scalar.append(chain.predict_next(v))
+        np.testing.assert_array_equal(walk, np.array(scalar))
+
+    def test_predict_next_online_emits_nothing(self):
+        rng = np.random.default_rng(17)
+        chain = MarkovChain.fit([rng.normal(0, 1, 300)])
+        with obs.observed() as o:
+            chain.predict_next_online(rng.normal(0, 1, 50))
+        assert not list(o.metrics.instruments())
+
+    def test_predict_next_online_empty(self):
+        chain = MarkovChain.fit([np.arange(10.0)])
+        assert chain.predict_next_online(np.empty(0)).size == 0
 
     def test_expected_next_values_cached(self):
         rng = np.random.default_rng(13)

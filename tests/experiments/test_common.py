@@ -69,15 +69,17 @@ class TestExperimentContext:
         assert traces.tasks()
         assert set(traces.tasks()) <= robotvision_tasks
 
-    def test_cache_key_sensitive_to_spec(self, tmp_path):
-        with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(tmp_path)}):
-            a = ExperimentContext(
-                corpus_spec=CorpusSpec(n_sequences=2, total_frames=20, base_seed=1)
-            )
-            b = ExperimentContext(
-                corpus_spec=CorpusSpec(n_sequences=2, total_frames=20, base_seed=2)
-            )
-            assert a._cache_key() != b._cache_key()
+    def test_cache_key_sensitive_to_spec(self):
+        """The shard key tells two corpora's sequences apart."""
+        from repro.synthetic import corpus_configs
+
+        specs = [
+            CorpusSpec(n_sequences=2, total_frames=20, base_seed=seed)
+            for seed in (1, 2)
+        ]
+        a, b = (ExperimentContext(corpus_spec=spec) for spec in specs)
+        cfg_a, cfg_b = (corpus_configs(spec)[0] for spec in specs)
+        assert a._shard_key(0, cfg_a) != b._shard_key(0, cfg_b)
 
     def test_cache_key_sensitive_to_pipeline_tunables(self):
         spec = CorpusSpec(n_sequences=2, total_frames=20, base_seed=1)
@@ -88,7 +90,6 @@ class TestExperimentContext:
                 pipeline=PipelineConfig(max_candidates=8)
             ),
         )
-        assert a._cache_key() != b._cache_key()
         from repro.synthetic import corpus_configs
 
         cfg = corpus_configs(spec)[0]

@@ -7,10 +7,13 @@ simulator's bandwidth ledger must equal the scalar loop's exactly,
 and the policy's model must end the run in the same state.
 Configurations the batch walk cannot reproduce (quality control,
 warmed-up predictors, DRAM contention) must fall back to the scalar
-loop rather than diverge; observability is not one of them.
+loop rather than diverge; observability and online-updating chains
+are not among them.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.runtime import (
     QualityController,
     ResourceManager,
     StaticSerialPolicy,
+    TripleCPolicy,
     WorstCaseReservationPolicy,
     record_tape,
 )
@@ -149,6 +153,71 @@ class TestBatchParity:
             seq, make_pipeline(seq), seq_key="b-wc", batched=True
         )
         assert_bit_identical(batched, scalar)
+
+
+def _predictor_state(model):
+    """What a run leaves behind in a model's predictors."""
+    state = {}
+    for task, p in model.computation.predictors.items():
+        chain = getattr(p, "chain", None)
+        lpf = getattr(p, "_ewma", None)
+        state[task] = (
+            getattr(p, "_last", None),
+            getattr(p, "_last_residual", None),
+            None if lpf is None else lpf.value,
+            None if chain is None else chain.counts.tobytes(),
+            None if chain is None else chain.transition.tobytes(),
+        )
+    return state
+
+
+class TestOnlineBatchParity:
+    """Online-update models take the batched path, bit for bit."""
+
+    def test_fresh_online_model_is_batchable(self, deployment):
+        sim = deployment.config.make_simulator()
+        policy = TripleCPolicy.for_simulator(
+            copy.deepcopy(deployment.online_model), sim
+        )
+        assert policy.supports_batch()
+
+    @staticmethod
+    def _two_runs(deployment, batched: bool):
+        model = copy.deepcopy(deployment.online_model)
+        sim = deployment.config.make_simulator()
+        engine = FrameEngine(sim, TripleCPolicy.for_simulator(model, sim))
+        runs = []
+        for r in range(2):
+            # The second run starts from the chains the first one
+            # trained; start_sequence resets only per-sequence state.
+            model.start_sequence()
+            assert engine._batch_supported()
+            result = engine.run_tape(
+                deployment.tape, seq_key=f"b-on{r}", batched=batched
+            )
+            runs.append(
+                (
+                    result,
+                    _predictor_state(model),
+                    model.scenarios.counts.copy(),
+                    model._current_scenario,
+                )
+            )
+        return runs
+
+    def test_runs_match_scalar(self, deployment):
+        batched = self._two_runs(deployment, batched=True)
+        scalar = self._two_runs(deployment, batched=False)
+        for got, want in zip(batched, scalar):
+            assert_bit_identical(got[0], want[0])
+            assert got[1] == want[1]
+            assert np.array_equal(got[2], want[2])
+            assert got[3] == want[3]
+        # Not vacuous where chains exist: the first run trained them.
+        pristine = _predictor_state(deployment.online_model)
+        chains = {t for t, state in pristine.items() if state[3] is not None}
+        trained = {t for t in chains if batched[0][1][t][3] != pristine[t][3]}
+        assert trained or not chains
 
 
 class TestBatchFallback:

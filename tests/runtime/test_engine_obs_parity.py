@@ -4,7 +4,9 @@ Observability must not change the code that runs, nor what it
 reports.  For every registered workload and every batchable policy,
 ``run_tape(batched=True)`` under ``obs.observed()`` must produce the
 scalar replay's frame table, metric series and trace -- span and event
-names, attrs, nesting and order; ids and timestamps aside.
+names, attrs, nesting and order; ids and timestamps aside.  The
+``online`` policy is the managed one over an ``online_update=True``
+model, whose chains the batch walk replays on copies.
 """
 
 from __future__ import annotations
@@ -16,19 +18,10 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core import TripleC
 from repro.core.computation import EwmaMarkovPredictor
-from repro.profiling import ProfileConfig, profile_corpus
-from repro.runtime import (
-    FrameEngine,
-    StaticSerialPolicy,
-    TripleCPolicy,
-    record_tape,
-)
-from repro.synthetic import CorpusSpec, XRaySequence
-from repro.workloads import get_workload, workload_names
+from repro.runtime import FrameEngine, StaticSerialPolicy, TripleCPolicy
 
-POLICIES = ("managed", "accuracy", "straightforward")
+POLICIES = ("managed", "accuracy", "straightforward", "online")
 
 #: Scalar table columns compared elementwise (dtype + values).
 _COLUMNS = (
@@ -43,39 +36,26 @@ _COLUMNS = (
 )
 
 
-@pytest.fixture(scope="module", params=workload_names())
-def deployment(request):
-    """A workload's trained model and one held-out tape."""
-    wl = get_workload(request.param)
-    config = ProfileConfig(workload=request.param)
-    reference = profile_corpus(
-        [
-            XRaySequence(c)
-            for c in wl.corpus_configs(CorpusSpec(4, 64, base_seed=2009))
-        ],
-        config,
-        jobs=1,
-    )
-    seq = XRaySequence(wl.corpus_configs(CorpusSpec(1, 40, base_seed=7))[0])
-    tape = record_tape(seq, wl.make_pipeline(seq, None))
-    return config, TripleC.fit(reference), tape
-
-
-def _policy(kind: str, model: TripleC, sim):
+def _policy(kind: str, deployment, sim):
     if kind == "managed":
-        return TripleCPolicy.for_simulator(copy.deepcopy(model), sim)
+        return TripleCPolicy.for_simulator(copy.deepcopy(deployment.model), sim)
+    if kind == "online":
+        return TripleCPolicy.for_simulator(
+            copy.deepcopy(deployment.online_model), sim
+        )
     if kind == "accuracy":
-        return StaticSerialPolicy(model=copy.deepcopy(model))
+        return StaticSerialPolicy(model=copy.deepcopy(deployment.model))
     return StaticSerialPolicy()
 
 
 def _observed_run(deployment, kind: str, batched: bool):
-    config, model, tape = deployment
-    sim = config.make_simulator()
-    engine = FrameEngine(sim, _policy(kind, model, sim))
+    sim = deployment.config.make_simulator()
+    engine = FrameEngine(sim, _policy(kind, deployment, sim))
     assert engine._batch_supported()
     with obs.observed() as o:
-        result = engine.run_tape(tape, seq_key="obs-par", batched=batched)
+        result = engine.run_tape(
+            deployment.tape, seq_key="obs-par", batched=batched
+        )
     return o, result
 
 
@@ -144,7 +124,7 @@ def test_observed_run_emits_every_layer(deployment):
     layer's series, and one span per frame under its sequence span."""
     o, result = _observed_run(deployment, "managed", batched=True)
     names = {inst.name for inst in o.metrics.instruments()}
-    kinds = {type(p) for p in deployment[1].computation.predictors.values()}
+    kinds = {type(p) for p in deployment.model.computation.predictors.values()}
     if EwmaMarkovPredictor in kinds:  # StentBoost trains the Markov models
         assert {
             "predict_ewma_component_ms",
