@@ -1,17 +1,18 @@
-"""Static-analysis suite: flow-graph invariants and project lint rules.
+"""Static-analysis suite: flow-graph invariants, lint rules, unit inference.
 
-Two passes, one findings model:
+Three passes, one findings model:
 
 * :mod:`repro.analysis.graphcheck` verifies the paper's structural
   invariants on a :class:`~repro.graph.flowgraph.FlowGraph` -- DAG-ness,
   switch-state coverage, bandwidth conservation, Table 1 buffer budgets
   against the platform's L2 -- before anything executes;
-* :mod:`repro.analysis.astlint` lints the sources for hygiene rules the
-  prediction pipeline depends on (named RNG streams, no wall clock in
-  model code, no decimal/binary unit mixing, sane EWMA alphas,
-  immutable frozen dataclasses).
+* :mod:`repro.analysis.astlint` lints the sources for the bug classes
+  the repository has hit (direct RNG calls, decimal/binary byte-unit
+  mixing, StentBoost hard-wired outside the workload registry);
+* :mod:`repro.analysis.dataflow` infers units across the whole program
+  and flags seconds-vs-milliseconds style mismatches.
 
-Run both with ``python -m repro.analysis``.
+Run all three with ``python -m repro.analysis``.
 """
 
 from __future__ import annotations

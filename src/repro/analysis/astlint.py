@@ -1,9 +1,8 @@
 """A small visitor-based AST lint framework for project rules.
 
 The framework does the generic work -- parsing, walking, import-alias
-resolution, function context -- and dispatches events to
-:class:`LintRule` objects, which only contain the project-specific
-judgement.  Rules receive a :class:`LintContext` describing where the
+resolution -- and dispatches events to :class:`LintRule` objects,
+which only contain the project-specific judgement.  Rules receive a :class:`LintContext` describing where the
 walker currently is and append :class:`Finding` values to it.
 
 Event hooks a rule may implement (all optional):
@@ -19,8 +18,6 @@ Event hooks a rule may implement (all optional):
     For each *outermost* binary-operator expression (nested ``BinOp``
     children are not re-dispatched, so expression-level rules see
     each expression exactly once).
-``on_function(ctx, node)``
-    For each function/method definition (before its body is walked).
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ class LintContext:
         self.findings: list[Finding] = []
         #: local name -> absolute dotted module path, from import statements.
         self.aliases: dict[str, str] = {}
-        #: enclosing function names, innermost last.
-        self.function_stack: list[str] = []
         self._index_imports(tree)
 
     # -- import-alias resolution ---------------------------------------------
@@ -104,10 +99,6 @@ class LintContext:
             )
         )
 
-    @property
-    def current_function(self) -> str | None:
-        return self.function_stack[-1] if self.function_stack else None
-
 
 class LintRule:
     """Base class for project rules; subclass and override hooks."""
@@ -130,10 +121,6 @@ class LintRule:
     def on_call(self, ctx: LintContext, node: ast.Call) -> None: ...
 
     def on_binop(self, ctx: LintContext, node: ast.BinOp) -> None: ...
-
-    def on_function(
-        self, ctx: LintContext, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None: ...
 
 
 class _Walker(ast.NodeVisitor):
@@ -177,23 +164,6 @@ class _Walker(ast.NodeVisitor):
                 self._descend_binop(child)
             else:
                 self.visit(child)
-
-    def _visit_function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        for rule in self.rules:
-            rule.on_function(self.ctx, node)
-        self.ctx.function_stack.append(node.name)
-        try:
-            self.generic_visit(node)
-        finally:
-            self.ctx.function_stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
 
 
 def lint_source(

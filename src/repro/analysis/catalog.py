@@ -6,8 +6,8 @@ exporter (``tool.driver.rules`` metadata) and cross-checked against
 the rule catalog in ``docs/analysis.md`` by the doc test.
 
 Lint rules self-describe (each :class:`~repro.analysis.astlint.
-LintRule` carries ``rule_id`` and ``description``); graph, dataflow
-and meta rules are declared here because their checkers are plain
+LintRule` carries ``rule_id`` and ``description``); graph, sched,
+dataflow and meta rules are declared here because their checkers are plain
 functions.
 """
 
@@ -91,7 +91,7 @@ _SCHED_RULES: Mapping[str, RuleInfo] = {
     ),
 }
 
-#: Whole-program dataflow rules (:mod:`repro.analysis.dataflow`).
+#: Unit-inference rules (:mod:`repro.analysis.dataflow.unitcheck`).
 _DATAFLOW_RULES: Mapping[str, RuleInfo] = {
     "dataflow/unit-mix": (
         Severity.ERROR,
@@ -109,82 +109,6 @@ _DATAFLOW_RULES: Mapping[str, RuleInfo] = {
     "dataflow/unit-return": (
         Severity.ERROR,
         "returns a value contradicting the annotated return unit",
-    ),
-    "dataflow/unitless-return": (
-        Severity.INFO,
-        "function with unit-annotated parameters drops the unit of "
-        "its inferable return",
-    ),
-    "dataflow/pool-worker-closure": (
-        Severity.ERROR,
-        "map_sequences worker is a lambda or nested function",
-    ),
-    "dataflow/pool-global-mutation": (
-        Severity.ERROR,
-        "pool worker (transitively) mutates a mutable module global",
-    ),
-    "dataflow/pool-shared-state": (
-        Severity.WARNING,
-        "pool worker (transitively) reads a mutable module global",
-    ),
-    "dataflow/unordered-accumulation": (
-        Severity.WARNING,
-        "set iteration feeds accumulation; order is hash-dependent",
-    ),
-    "dataflow/unsorted-listing": (
-        Severity.WARNING,
-        "filesystem listing used without an immediate sorted(...)",
-    ),
-    "dataflow/json-sort-keys": (
-        Severity.WARNING,
-        "json.dump(s) without sort_keys=True in artifact output",
-    ),
-    "dataflow/pool-arg-mutation": (
-        Severity.ERROR,
-        "pool worker mutates its argument; pooled and inline runs "
-        "mutate different objects",
-    ),
-    "dataflow/pool-impure-worker": (
-        Severity.WARNING,
-        "pool worker has inferred effects (io/env/spawns/nondet) "
-        "observable under pooled scheduling",
-    ),
-}
-
-#: Effect-engine rules (:mod:`repro.analysis.effects`).
-_EFFECT_RULES: Mapping[str, RuleInfo] = {
-    "effects/contract-mismatch": (
-        Severity.ERROR,
-        "inferred effects exceed the @pure/@effects(...) declaration",
-    ),
-    "effects/contract-unused": (
-        Severity.INFO,
-        "declared effect the inference finds no evidence of",
-    ),
-    "effects/missing-contract": (
-        Severity.WARNING,
-        "pool worker, predictor-backend fit or policy step without "
-        "an effect contract",
-    ),
-    "perf/scalar-predict-in-loop": (
-        Severity.WARNING,
-        "per-element predict() on a receiver whose class implements "
-        "predict_series",
-    ),
-    "perf/invariant-attr-in-loop": (
-        Severity.WARNING,
-        "loop-invariant instrument lookup or attribute chain "
-        "re-resolved per iteration",
-    ),
-    "perf/alloc-in-hot-loop": (
-        Severity.INFO,
-        "constant container literal allocated per iteration of a "
-        "hot-path loop",
-    ),
-    "perf/frame-object-churn": (
-        Severity.WARNING,
-        "per-frame dataclass appended to a list in a module with a "
-        "columnar frame store",
     ),
 }
 
@@ -205,6 +129,5 @@ def rule_catalog() -> dict[str, RuleInfo]:
     catalog.update(_GRAPH_RULES)
     catalog.update(_SCHED_RULES)
     catalog.update(_DATAFLOW_RULES)
-    catalog.update(_EFFECT_RULES)
     catalog.update(_META_RULES)
     return dict(sorted(catalog.items()))

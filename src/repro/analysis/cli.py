@@ -1,17 +1,16 @@
 """``python -m repro.analysis`` -- run the static-analysis suite.
 
-By default five passes run:
+By default three passes run:
 
 * the AST lint over the ``repro`` package sources (or explicit paths),
-* the whole-program dataflow passes (unit inference + determinism
-  audit) over the same roots,
-* the effect passes (pool-seam race detector + effect-contract
-  verification, backed by interprocedural purity inference),
-* the perf-smell pass (scalar ``predict`` in loops, per-iteration
-  instrument lookups and allocations in hot paths),
+* the whole-program unit inference over the same roots
+  (``--no-dataflow`` skips it),
 * the graph checker over every registered workload's flow graph on
   the Blackford platform (``--graph MODULE:CALLABLE`` checks one
   explicit graph instead).
+
+Each source pass guards a bug class the repository has hit (see the
+verdict table in ``docs/analysis.md``).
 
 Findings on a line carrying a matching ``# repro: ignore[rule]``
 comment are suppressed (stale markers are themselves flagged).  With
@@ -47,12 +46,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.analysis.astlint import lint_paths
+from repro.analysis.astlint import iter_python_files, lint_paths
 from repro.analysis.baseline import filter_baselined, load_baseline, write_baseline
 from repro.analysis.catalog import rule_catalog
 from repro.analysis.dataflow import run_dataflow
-from repro.analysis.dataflow.symbols import build_symbol_table, iter_source_files
-from repro.analysis.effects import check_perf, infer_effects, run_effects
 from repro.analysis.findings import (
     Finding,
     Severity,
@@ -116,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "static-analysis suite: flow-graph invariants + AST lint + "
-            "whole-program dataflow (units, determinism)"
+            "whole-program unit inference"
         ),
     )
     parser.add_argument(
@@ -146,17 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-dataflow",
         action="store_true",
-        help="skip the whole-program dataflow passes",
-    )
-    parser.add_argument(
-        "--no-effects",
-        action="store_true",
-        help="skip the effect passes (race detector + contracts)",
-    )
-    parser.add_argument(
-        "--no-perf",
-        action="store_true",
-        help="skip the perf-smell pass",
+        help="skip the whole-program unit inference",
     )
     parser.add_argument(
         "--format",
@@ -218,15 +205,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if not args.no_lint:
         findings += lint_paths(roots, default_rules())
-    if not (args.no_dataflow and args.no_effects and args.no_perf):
-        # One symbol table feeds every whole-program pass.
-        table = build_symbol_table(roots)
-        if not args.no_dataflow:
-            findings += run_dataflow(roots, table=table)
-        if not args.no_effects:
-            findings += run_effects(table, infer_effects(table))
-        if not args.no_perf:
-            findings += check_perf(table)
+    if not args.no_dataflow:
+        findings += run_dataflow(roots)
 
     if not args.no_graph:
         try:
@@ -256,7 +236,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             findings += check_flowgraph(graph, platform, scenario_ids)
 
     # Inline suppressions apply to everything located at a path:line.
-    markers = scan_suppressions(iter_source_files(roots))
+    markers = scan_suppressions(iter_python_files(roots))
     findings = apply_suppressions(findings, markers)
 
     if args.write_baseline is not None:

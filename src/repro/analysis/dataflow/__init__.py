@@ -1,15 +1,11 @@
-"""Whole-program dataflow analysis over the ``repro`` sources.
+"""Whole-program unit inference over the ``repro`` sources.
 
-Two interprocedural passes share one :class:`~repro.analysis.dataflow.
-symbols.SymbolTable`:
+:mod:`~repro.analysis.dataflow.symbols` indexes every source file once
+into a :class:`~repro.analysis.dataflow.symbols.SymbolTable`;
+:mod:`~repro.analysis.dataflow.unitcheck` propagates the
+:mod:`repro.util.quantity` unit annotations over it.
 
-* :mod:`~repro.analysis.dataflow.unitcheck` -- unit/dimension
-  inference seeded from the :mod:`repro.util.quantity` annotations;
-* :mod:`~repro.analysis.dataflow.determinism` -- ordering hazards
-  (the pool-seam audit moved to :mod:`repro.analysis.effects.races`).
-
-:func:`run_dataflow` is the CLI's entry point: build the table once
-(or reuse one the caller already built), run both passes.
+:func:`run_dataflow` is the CLI's entry point.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.dataflow.determinism import check_determinism
 from repro.analysis.dataflow.symbols import SymbolTable, build_symbol_table
 from repro.analysis.dataflow.unitcheck import check_units
 from repro.analysis.findings import Finding
@@ -26,16 +21,10 @@ __all__ = [
     "SymbolTable",
     "build_symbol_table",
     "check_units",
-    "check_determinism",
     "run_dataflow",
 ]
 
 
-def run_dataflow(
-    paths: Iterable[Path], table: SymbolTable | None = None
-) -> list[Finding]:
-    """Run both dataflow passes, building the symbol table over
-    ``paths`` unless the caller shares one."""
-    if table is None:
-        table = build_symbol_table(list(paths))
-    return check_units(table) + check_determinism(table)
+def run_dataflow(paths: Iterable[Path]) -> list[Finding]:
+    """Build the symbol table over ``paths`` and run unit inference."""
+    return check_units(build_symbol_table(list(paths)))

@@ -1,4 +1,4 @@
-"""Project symbol table and call graph for the dataflow passes.
+"""Project symbol table and call graph for the unit-inference pass.
 
 Parses every python file under the given roots once and indexes:
 
@@ -10,7 +10,6 @@ Parses every python file under the given roots once and indexes:
   (dataclass fields) across the whole project, keyed by attribute
   *name* -- attribute accesses are resolved without type inference,
   so a name used with conflicting units in two classes is dropped,
-* module-level mutable bindings (the determinism audit's prey),
 * a call graph over *resolvable* calls: dotted names through import
   aliases, bare names in the same module, ``self.method()`` within a
   class, and ``ClassName(...)`` constructors.
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from repro.analysis.astlint import iter_python_files
 from repro.analysis.dataflow.dims import Dim, parse_dim
 from repro.util.quantity import QUANTITY_DIMS, SUFFIX_DIMS
 
@@ -36,13 +36,7 @@ __all__ = [
     "build_symbol_table",
     "annotation_dim",
     "suffix_dim",
-    "iter_source_files",
 ]
-
-#: Value nodes considered mutable when bound at module level.
-_MUTABLE_CALLS = frozenset(
-    {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
-)
 
 
 def annotation_dim(node: ast.expr | None) -> Dim | None:
@@ -87,11 +81,8 @@ class ModuleInfo:
     path: str
     modname: str
     tree: ast.Module
-    source: str
     #: local name -> absolute dotted path (import indexing).
     aliases: dict[str, str] = field(default_factory=dict)
-    #: module-level names bound to mutable containers (non-CONSTANT case).
-    mutable_globals: dict[str, int] = field(default_factory=dict)
 
     def resolve_dotted(self, node: ast.expr) -> str | None:
         """Absolute dotted name of an attribute/name chain, or None."""
@@ -138,7 +129,6 @@ class SymbolTable:
     """Whole-program index over the analysis roots."""
 
     def __init__(self) -> None:
-        self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         #: class qualname -> {method name -> function qualname}
         self.class_methods: dict[str, dict[str, str]] = {}
@@ -154,10 +144,8 @@ class SymbolTable:
             tree = ast.parse(source, filename=path)
         except SyntaxError:
             return
-        mod = ModuleInfo(path=path, modname=modname, tree=tree, source=source)
+        mod = ModuleInfo(path=path, modname=modname, tree=tree)
         self._index_imports(mod)
-        self._index_globals(mod)
-        self.modules[modname] = mod
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(mod, stmt, class_name=None)
@@ -177,20 +165,6 @@ class SymbolTable:
                         continue
                     local = alias.asname or alias.name
                     mod.aliases[local] = f"{node.module}.{alias.name}"
-
-    def _index_globals(self, mod: ModuleInfo) -> None:
-        for stmt in mod.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not _is_mutable_value(value):
-                continue
-            for t in targets:
-                if isinstance(t, ast.Name) and not t.id.isupper() and t.id != "__all__":
-                    mod.mutable_globals[t.id] = stmt.lineno
 
     def _add_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         cls_qual = f"{mod.modname}.{node.name}"
@@ -278,18 +252,6 @@ class SymbolTable:
         return self.class_fields.get(dotted)
 
 
-def _is_mutable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        fn = node.func
-        base = fn.attr if isinstance(fn, ast.Attribute) else (
-            fn.id if isinstance(fn, ast.Name) else None
-        )
-        return base in _MUTABLE_CALLS
-    return False
-
-
 def _module_name(path: Path) -> str:
     """Dotted module name from a file path (walking up ``__init__.py``)."""
     path = path.resolve()
@@ -301,23 +263,10 @@ def _module_name(path: Path) -> str:
     return ".".join(parts) or path.stem
 
 
-def iter_source_files(paths: Iterable[Path]) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated file list."""
-    seen: set[Path] = set()
-    out: list[Path] = []
-    for p in paths:
-        candidates = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for c in candidates:
-            if c.suffix == ".py" and c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
-
-
 def build_symbol_table(paths: Iterable[Path]) -> SymbolTable:
     """Parse every ``.py`` file under ``paths`` into one symbol table."""
     table = SymbolTable()
-    for f in iter_source_files(paths):
+    for f in iter_python_files(paths):
         try:
             source = f.read_text(encoding="utf-8")
         except OSError:

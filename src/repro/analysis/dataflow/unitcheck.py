@@ -18,10 +18,6 @@ per-function return dimensions.  A final pass reports:
 ``dataflow/unit-return`` (error)
     A return whose inferred dimension contradicts the function's
     annotated quantity.
-``dataflow/unitless-return`` (info)
-    A function with quantity-annotated parameters whose return
-    dimension infers to a vocabulary unit, but whose signature drops
-    it -- annotating the return keeps callers in the unit discipline.
 
 Only conflicts between two *canonical* vocabulary dimensions are
 reported (see :mod:`repro.analysis.dataflow.dims`), which keeps the
@@ -33,7 +29,7 @@ conversion helpers are the sanctioned crossing points and are exempt.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.dataflow.dims import (
     DIMENSIONLESS,
@@ -43,7 +39,6 @@ from repro.analysis.dataflow.dims import (
     dim_pow,
     dim_str,
     dims_conflict,
-    is_canonical,
     parse_dim,
 )
 from repro.analysis.dataflow.symbols import (
@@ -89,7 +84,7 @@ class _Evaluator:
         fn: FunctionInfo,
         table: SymbolTable,
         returns: dict[str, Dim | None],
-        report: Callable[[str, Severity, ast.AST, str], None] | None = None,
+        report: Callable[[str, ast.AST, str], None] | None = None,
     ) -> None:
         self.fn = fn
         self.table = table
@@ -206,8 +201,7 @@ class _Evaluator:
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         if self.report is not None:
-            severity = Severity.INFO if rule == "dataflow/unitless-return" else Severity.ERROR
-            self.report(rule, severity, node, message)
+            self.report(rule, node, message)
 
     # -- expression evaluation ----------------------------------------------
 
@@ -446,7 +440,7 @@ def check_units(table: SymbolTable) -> list[Finding]:
             continue
         reported: set[tuple[int, str]] = set()
 
-        def report(rule: str, severity: Severity, node: ast.AST, message: str) -> None:
+        def report(rule: str, node: ast.AST, message: str) -> None:
             line = getattr(node, "lineno", fn.node.lineno)  # noqa: B023
             key = (line, rule)
             if key in reported:  # noqa: B023
@@ -455,39 +449,11 @@ def check_units(table: SymbolTable) -> list[Finding]:
             findings.append(
                 Finding(
                     rule=rule,
-                    severity=severity,
+                    severity=Severity.ERROR,
                     location=f"{fn.module.path}:{line}",  # noqa: B023
                     message=message,
                 )
             )
 
         _Evaluator(fn, table, returns, report=report).run()
-        if (
-            fn.return_ann is None
-            and fn.param_ann
-            and fn.node.name != "__init__"
-            and is_canonical(returns.get(fn.qualname))
-        ):
-            findings.append(
-                Finding(
-                    rule="dataflow/unitless-return",
-                    severity=Severity.INFO,
-                    location=f"{fn.module.path}:{fn.node.lineno}",
-                    message=(
-                        f"{fn.qualname} has unit-annotated parameters and "
-                        f"returns {dim_str(returns[fn.qualname])}, "  # type: ignore[arg-type]
-                        "but its return annotation drops the unit; annotate "
-                        "it with the matching repro.util.quantity alias"
-                    ),
-                )
-            )
     return findings
-
-
-def check_units_paths(paths: Iterable[object]) -> list[Finding]:
-    """Convenience wrapper building a table from paths (tests, CLI)."""
-    from pathlib import Path
-
-    from repro.analysis.dataflow.symbols import build_symbol_table
-
-    return check_units(build_symbol_table([Path(str(p)) for p in paths]))

@@ -1,40 +1,17 @@
-"""Project lint rules enforcing the reproduction's hygiene invariants.
+"""Project lint rules, one per bug class the repository has hit.
 
-Each rule guards a property the prediction pipeline depends on:
+Each rule keeps a recorded mutant that only it catches (see the
+per-pass verdict table in ``docs/analysis.md``):
 
 ``lint/banned-random``
     All randomness must flow through :func:`repro.util.rng.rng_stream`
     named streams; a direct ``np.random.*`` / ``random.*`` call breaks
     the bit-for-bit reproducibility of every figure in EXPERIMENTS.md.
-``lint/wall-clock``
-    Model code in ``core/`` must be a pure function of its inputs;
-    reading the wall clock (``time.time`` & friends) would smuggle
-    nondeterminism into predictions.
 ``lint/unit-mix``
     Decimal (``KB``/``MB``/``GB``) and binary (``KIB``/``MIB``/``GIB``)
     byte families may not meet in one expression; conversions between
     the Table 1 (binary) and Fig. 4 (decimal) families belong in
     :mod:`repro.util.units` helpers, where the factor is explicit.
-``lint/ewma-alpha``
-    EWMA smoothing factors are only meaningful in ``(0, 1]`` (paper
-    Eq. 1); a literal outside that range is a latent ValueError.
-``lint/frozen-setattr``
-    ``object.__setattr__`` outside ``__post_init__`` defeats frozen
-    dataclasses; models are shared across threads in the runtime
-    manager and must stay immutable after construction.
-``lint/executor-outside-parallel``
-    Process/thread pools may only be built in ``repro/parallel/``;
-    :func:`repro.parallel.map_sequences` is the sanctioned fan-out.
-    Ad-hoc executors fork with unpredictable inherited state and
-    bypass the input-order merge that keeps parallel results
-    bit-identical to serial ones.
-``lint/direct-time-call``
-    Stopwatch reads (``time.monotonic``/``time.perf_counter`` and
-    their ``_ns`` variants) may only appear in ``repro/obs/`` (the
-    injectable-clock implementation) and ``repro/bench/`` (raw timing
-    is its whole point).  Everything else times through
-    :func:`repro.obs.clock.monotonic_s` or an obs span, so tests can
-    substitute a manual clock and traces stay consistent.
 ``lint/app-hardcode``
     Application code resolves workloads through the
     :mod:`repro.workloads` registry; importing the StentBoost graph
@@ -42,16 +19,6 @@ Each rule guards a property the prediction pipeline depends on:
     anywhere else hard-wires one application into a layer that is
     supposed to serve every registered workload.  The graph package
     itself and the registry definitions are exempt.
-``lint/frame-loop-outside-engine``
-    Per-frame ``simulate_frame`` loops belong to the frame engine
-    (``repro/runtime/engine.py``); everything else runs sequences
-    through :class:`repro.runtime.FrameEngine` and a scheduling
-    policy (or :func:`repro.runtime.simulate_report_sweep` for
-    hand-built reports).  An ad-hoc loop silently skips the budget /
-    delay-line / telemetry wiring the engine owns, so its results
-    drift from the managed paths.  ``repro/bench/`` (raw timing) and
-    ``repro/profiling/`` (trace collection predates any model) keep
-    their own loops.
 """
 
 from __future__ import annotations
@@ -64,13 +31,7 @@ from repro.analysis.findings import Severity
 
 __all__ = [
     "BannedRandomRule",
-    "WallClockRule",
     "UnitMixRule",
-    "EwmaAlphaRule",
-    "FrozenSetattrRule",
-    "ExecutorRule",
-    "DirectTimeCallRule",
-    "FrameLoopRule",
     "AppHardcodeRule",
     "default_rules",
 ]
@@ -122,48 +83,6 @@ class BannedRandomRule(LintRule):
             )
 
 
-class WallClockRule(LintRule):
-    """No wall-clock reads inside model code."""
-
-    rule_id = "lint/wall-clock"
-    description = "core/ model code may not read the wall clock"
-
-    banned: tuple[str, ...] = (
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-    )
-
-    def __init__(self, directories: tuple[str, ...] | None = ("core",)) -> None:
-        #: Path components the rule is restricted to; ``None`` = all files.
-        self.directories = directories
-
-    def applies_to(self, path: str) -> bool:
-        if self.directories is None:
-            return True
-        parts = Path(path).parts
-        return any(d in parts for d in self.directories)
-
-    def on_call(self, ctx: LintContext, node: ast.Call) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if dotted in self.banned:
-            ctx.report(
-                self.rule_id,
-                Severity.ERROR,
-                node,
-                f"{dotted} read in model code; predictions must be pure "
-                "functions of their inputs",
-            )
-
-
 class UnitMixRule(LintRule):
     """No mixing of decimal and binary byte units in one expression."""
 
@@ -203,232 +122,6 @@ class UnitMixRule(LintRule):
                 f"expression mixes decimal {dec} with binary {binr} byte "
                 "units; lift the conversion into repro.util.units",
             )
-
-
-class EwmaAlphaRule(LintRule):
-    """EWMA smoothing-factor literals must lie in (0, 1]."""
-
-    rule_id = "lint/ewma-alpha"
-    description = "EWMA alpha literals must satisfy 0 < alpha <= 1 (Eq. 1)"
-
-    #: callee basename -> positional index of its alpha parameter.
-    callees: dict[str, int] = {
-        "EwmaFilter": 0,
-        "ewma": 1,
-        "high_low_split": 1,
-    }
-
-    def _alpha_node(self, basename: str, node: ast.Call) -> ast.expr | None:
-        for kw in node.keywords:
-            if kw.arg == "alpha":
-                return kw.value
-        idx = self.callees[basename]
-        if len(node.args) > idx:
-            return node.args[idx]
-        return None
-
-    def on_call(self, ctx: LintContext, node: ast.Call) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if dotted is None:
-            return
-        basename = dotted.rsplit(".", 1)[-1]
-        if basename not in self.callees:
-            return
-        value = self._alpha_node(basename, node)
-        if (
-            isinstance(value, ast.Constant)
-            and isinstance(value.value, (int, float))
-            and not isinstance(value.value, bool)
-        ):
-            alpha = float(value.value)
-            if not 0.0 < alpha <= 1.0:
-                ctx.report(
-                    self.rule_id,
-                    Severity.ERROR,
-                    node,
-                    f"{basename} called with alpha={alpha!r}, outside the "
-                    "(0, 1] range of Eq. 1",
-                )
-
-
-class FrozenSetattrRule(LintRule):
-    """No ``object.__setattr__`` outside dataclass ``__post_init__``."""
-
-    rule_id = "lint/frozen-setattr"
-    description = (
-        "object.__setattr__ is only legitimate inside __post_init__ of a "
-        "frozen dataclass"
-    )
-
-    def on_call(self, ctx: LintContext, node: ast.Call) -> None:
-        if ctx.dotted_name(node.func) != "object.__setattr__":
-            return
-        if ctx.current_function != "__post_init__":
-            where = ctx.current_function or "module level"
-            ctx.report(
-                self.rule_id,
-                Severity.ERROR,
-                node,
-                f"object.__setattr__ in {where}; mutating a frozen "
-                "dataclass outside __post_init__ breaks immutability",
-            )
-
-
-class ExecutorRule(LintRule):
-    """No executor/pool construction outside ``repro/parallel/``."""
-
-    rule_id = "lint/executor-outside-parallel"
-    description = (
-        "process/thread pools may only be constructed in repro/parallel/; "
-        "use repro.parallel.map_sequences for fan-out"
-    )
-
-    banned: tuple[str, ...] = (
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.ThreadPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "concurrent.futures.thread.ThreadPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.Process",
-        "multiprocessing.pool.Pool",
-        "multiprocessing.pool.ThreadPool",
-        "multiprocessing.get_context",
-    )
-
-    #: The sanctioned pool implementation itself.
-    allowed_files: tuple[str, ...] = ("parallel/pool.py",)
-
-    def __init__(self, allowed_files: tuple[str, ...] | None = None) -> None:
-        if allowed_files is not None:
-            self.allowed_files = allowed_files
-
-    def applies_to(self, path: str) -> bool:
-        return not _path_endswith(path, self.allowed_files)
-
-    def on_call(self, ctx: LintContext, node: ast.Call) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if dotted in self.banned:
-            ctx.report(
-                self.rule_id,
-                Severity.ERROR,
-                node,
-                f"{dotted} constructed outside repro/parallel/; route "
-                "fan-out through repro.parallel.map_sequences",
-            )
-
-
-class DirectTimeCallRule(LintRule):
-    """Stopwatch calls only in ``repro/obs/`` and ``repro/bench/``."""
-
-    rule_id = "lint/direct-time-call"
-    description = (
-        "time.monotonic/time.perf_counter may only be called in "
-        "repro/obs/ and repro/bench/; time through "
-        "repro.obs.clock.monotonic_s or an obs span elsewhere"
-    )
-
-    banned: tuple[str, ...] = (
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-    )
-
-    def __init__(self, allowed_dirs: tuple[str, ...] | None = None) -> None:
-        #: Directory components whose files may read the stopwatch.
-        self.allowed_dirs: tuple[str, ...] = (
-            allowed_dirs if allowed_dirs is not None else ("obs", "bench")
-        )
-
-    def applies_to(self, path: str) -> bool:
-        parts = Path(path).parts
-        return not any(d in parts for d in self.allowed_dirs)
-
-    def on_call(self, ctx: LintContext, node: ast.Call) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if dotted in self.banned:
-            ctx.report(
-                self.rule_id,
-                Severity.ERROR,
-                node,
-                f"direct {dotted} call outside repro/obs/ and "
-                "repro/bench/; use repro.obs.clock.monotonic_s (or an "
-                "obs span) so the clock stays injectable",
-            )
-
-
-class FrameLoopRule(LintRule):
-    """No per-frame ``simulate_frame`` loops outside the frame engine."""
-
-    rule_id = "lint/frame-loop-outside-engine"
-    description = (
-        "per-frame simulate_frame loops may only live in "
-        "repro/runtime/engine.py; drive sequences through "
-        "repro.runtime.FrameEngine and a scheduling policy"
-    )
-
-    #: The engine owns the canonical per-frame loop.
-    allowed_files: tuple[str, ...] = ("runtime/engine.py",)
-
-    _LOOP_NODES = (
-        ast.For,
-        ast.AsyncFor,
-        ast.While,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-        ast.GeneratorExp,
-    )
-
-    def __init__(
-        self,
-        allowed_files: tuple[str, ...] | None = None,
-        allowed_dirs: tuple[str, ...] | None = None,
-    ) -> None:
-        if allowed_files is not None:
-            self.allowed_files = allowed_files
-        #: Directory components whose files keep their own loops
-        #: (raw benchmarking; profiling, which predates any model).
-        self.allowed_dirs: tuple[str, ...] = (
-            allowed_dirs if allowed_dirs is not None else ("bench", "profiling")
-        )
-
-    def applies_to(self, path: str) -> bool:
-        if _path_endswith(path, self.allowed_files):
-            return False
-        parts = Path(path).parts
-        return not any(d in parts for d in self.allowed_dirs)
-
-    @staticmethod
-    def _callee_basename(node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    def on_module(self, ctx: LintContext, node: ast.Module) -> None:
-        reported: set[int] = set()
-        for loop in ast.walk(node):
-            if not isinstance(loop, self._LOOP_NODES):
-                continue
-            for sub in ast.walk(loop):
-                if (
-                    isinstance(sub, ast.Call)
-                    and id(sub) not in reported
-                    and self._callee_basename(sub) == "simulate_frame"
-                ):
-                    reported.add(id(sub))
-                    ctx.report(
-                        self.rule_id,
-                        Severity.ERROR,
-                        sub,
-                        "simulate_frame called in a loop outside "
-                        "repro/runtime/engine.py; run the sequence through "
-                        "repro.runtime.FrameEngine with a scheduling policy "
-                        "(or simulate_report_sweep for prebuilt reports)",
-                    )
 
 
 class AppHardcodeRule(LintRule):
@@ -496,12 +189,6 @@ def default_rules() -> list[LintRule]:
     """Fresh instances of every project rule (the CLI's default set)."""
     return [
         BannedRandomRule(),
-        WallClockRule(),
         UnitMixRule(),
-        EwmaAlphaRule(),
-        FrozenSetattrRule(),
-        ExecutorRule(),
-        DirectTimeCallRule(),
-        FrameLoopRule(),
         AppHardcodeRule(),
     ]

@@ -32,7 +32,6 @@ from repro.core.computation import (
     TaskTimePredictor,
 )
 from repro.core.markov import AdaptiveQuantizer, MarkovChain
-from repro.util.effects import pure
 
 if TYPE_CHECKING:
     from repro.profiling.traces import TraceSet
@@ -203,21 +202,18 @@ def fit_series_predictor(
         ) from exc
 
 
-@pure
 def _fit_constant(
     traces: "TraceSet", task: str, **options: Any
 ) -> ConstantPredictor:
     return ConstantPredictor.fit(traces.task_series(task))
 
 
-@pure
 def _fit_last_value(
     traces: "TraceSet", task: str, **options: Any
 ) -> LastValuePredictor:
     return LastValuePredictor.fit(traces.task_series(task))
 
 
-@pure
 def _fit_markov(
     traces: "TraceSet", task: str, *, online_update: bool = False, **options: Any
 ) -> MarkovPredictor:
@@ -226,7 +222,6 @@ def _fit_markov(
     )
 
 
-@pure
 def _fit_ewma_markov(
     traces: "TraceSet",
     task: str,
@@ -240,7 +235,6 @@ def _fit_ewma_markov(
     )
 
 
-@pure
 def _fit_roi_markov(
     traces: "TraceSet", task: str, *, online_update: bool = False, **options: Any
 ) -> RoiLinearMarkovPredictor:
@@ -249,7 +243,6 @@ def _fit_roi_markov(
     )
 
 
-@pure
 def _fit_scenario_conditioned(
     traces: "TraceSet",
     task: str,

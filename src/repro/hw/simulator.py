@@ -274,8 +274,8 @@ class PlatformSimulator:
         frame's ``task -> (compute_ms, eviction_bytes, external_bytes)``
         here; the scheduling arithmetic, ledger records and totals are
         those of :meth:`simulate_frame`, without re-deriving costs or
-        building per-task :class:`TaskTiming` records
-        (``perf/frame-object-churn``).
+        building per-task :class:`TaskTiming` records (no per-frame
+        record object in the hot loop).
 
         Mapping-independent costs are a precondition: DRAM-contention
         mode stretches compute times by the schedule itself, so it

@@ -3,11 +3,10 @@
 Everything in ``repro.obs`` that needs a timestamp receives a
 :class:`Clock`, so (a) span timing is monotonic and immune to NTP
 steps, (b) tests drive time by hand with :class:`ManualClock`, and
-(c) the rest of the codebase never reads the wall clock directly --
-``lint/direct-time-call`` bans ``time.monotonic()`` /
-``time.perf_counter()`` outside ``repro/obs/`` and ``repro/bench/``,
-and ``lint/wall-clock`` keeps ``core/`` model code pure.  This module
-is the one sanctioned call site outside the bench harness.
+(c) code outside ``repro/obs/`` and ``repro/bench/`` times through
+:func:`monotonic_s` rather than calling ``time.monotonic()`` /
+``time.perf_counter()`` itself.  This module is the one sanctioned
+stopwatch outside the bench harness.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ def monotonic_s() -> float:
     Callers outside ``repro/obs`` and ``repro/bench`` that need a
     coarse duration (e.g. the experiment driver's per-experiment
     timing) route through this helper instead of calling ``time``
-    directly, keeping ``lint/direct-time-call`` satisfied in one
-    place.
+    directly.
     """
     return _DEFAULT.now_ms() / 1e3

@@ -9,9 +9,7 @@ profiling, held-out evaluation, benchmark sweeps -- is embarrassingly
 parallel across sequences.
 
 All process fan-out in the repository goes through
-:func:`map_sequences`: one audited entry point (enforced by the
-``lint/executor-outside-parallel`` rule of :mod:`repro.analysis`)
-whose inline short-circuit at ``max_workers=1`` keeps tests, coverage
+:func:`map_sequences`: one audited entry point whose inline short-circuit at ``max_workers=1`` keeps tests, coverage
 and debuggers working on a single code path.
 """
 

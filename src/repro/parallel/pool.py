@@ -12,11 +12,10 @@ Design constraints, in order:
    in the calling process: no fork, no pickling, breakpoints and
    coverage behave.  This is also why tests default to the inline
    path unless they opt in.
-3. **Auditability.**  ``concurrent.futures`` / ``multiprocessing``
-   executor construction anywhere else in ``src/repro`` is a lint
-   error (``lint/executor-outside-parallel``); the failure modes of
-   process pools (pickling, inherited state, zombie workers) stay
-   confined to this module.
+3. **Auditability.**  No other module in ``src/repro`` constructs a
+   ``concurrent.futures`` / ``multiprocessing`` executor, so the
+   failure modes of process pools (pickling, inherited state, zombie
+   workers) stay confined to this module.
 """
 
 from __future__ import annotations

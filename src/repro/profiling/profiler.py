@@ -23,7 +23,6 @@ from repro.parallel import SharedArrays, get_payload, map_sequences
 from repro.profiling.traces import TraceSet
 from repro.synthetic.phantom import Phantom
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
-from repro.util.effects import pure
 from repro.workloads import DEFAULT_WORKLOAD, REGISTRY_VERSION, get_workload
 
 __all__ = [
@@ -140,7 +139,7 @@ def profile_sequence(
                     frames_total.inc()
                     frame_latency_ms.observe(result.latency_ms)
             # Append-free columnar write: one structured-row store,
-            # no per-frame record object (perf/frame-object-churn).
+            # no per-frame record object in the hot loop.
             ts.add_frame(
                 seq=seq_id,
                 frame=analysis.index,
@@ -199,7 +198,6 @@ class _ShardPayload:
         )
 
 
-@pure
 def _profile_one(seq_id: int) -> TraceSet:
     """Pool worker: profile one sequence with its own simulator.
 

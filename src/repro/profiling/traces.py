@@ -425,7 +425,7 @@ class TraceSet:
         meta: dict[str, object] = {}
         for k, v in self.meta.items():
             try:
-                json.dumps(v)  # repro: ignore[dataflow/json-sort-keys] -- probe, output discarded
+                json.dumps(v)  # probe only: the output is discarded
             except (TypeError, ValueError):
                 continue
             meta[k] = v

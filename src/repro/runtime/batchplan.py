@@ -8,8 +8,8 @@ holds the machinery that makes that both fast and *bit-exact*:
 :class:`BatchPlans`
     The columnar counterpart of a list of ``FramePlan`` objects --
     numpy columns for the scalar fields, plain lists for mappings and
-    per-task dicts.  No per-frame plan objects are allocated
-    (``perf/frame-object-churn``).
+    per-task dicts.  No per-frame plan objects are allocated in the
+    hot loop.
 
 :class:`BatchTaskPredictions`
     Walk-forward task-time predictions for every ``(task, execution

@@ -12,9 +12,7 @@ which prediction).
 
 ``ResourceManager`` and the ``baselines`` entry points are thin shims
 over this module; the multiapp/throughput drivers express their
-placements as a :class:`CoschedulePolicy`.  The lint rule
-``lint/frame-loop-outside-engine`` keeps ad-hoc ``simulate_frame``
-loops from growing back elsewhere.
+placements as a :class:`CoschedulePolicy`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.runtime.partition import PartitionDecision, Partitioner
 from repro.runtime.qos import DelayLine, LatencyBudget
 from repro.runtime.tape import FrameTape, TapePipeline, TapeSequence, record_tape
 from repro.synthetic.sequence import XRaySequence
-from repro.util.effects import pure
 from repro.util.stats import JitterMetrics, jitter_metrics
 
 __all__ = [
@@ -687,7 +684,7 @@ class FrameEngine:
         out_ms: float,
     ) -> None:
         """Record one executed frame (column writes, no per-frame log
-        object -- ``perf/frame-object-churn``)."""
+        object in the hot loop)."""
         prediction = plan.prediction
         table.add_frame(
             index=analysis.index,
@@ -769,13 +766,11 @@ class TripleCPolicy:
             self.budget.initialize(self.triplec.expected_frame_ms())
         return self.budget.require()
 
-    @pure
     def begin_run(self, engine: FrameEngine) -> LatencyBudget:
         self.initialize_budget()
         self.triplec.start_sequence()
         return self.budget
 
-    @pure
     def plan_frame(
         self, engine: FrameEngine, pipeline: AnalysisPipeline, img
     ) -> FramePlan:
@@ -811,7 +806,6 @@ class TripleCPolicy:
             roi_kpixels=roi_kpx,
         )
 
-    @pure
     def observe_frame(
         self, plan: FramePlan, analysis: FrameAnalysis, result: FrameResult
     ) -> None:
@@ -893,13 +887,11 @@ class StaticSerialPolicy:
         self.model = model
         self.frame_setup = frame_setup
 
-    @pure
     def begin_run(self, engine: FrameEngine) -> None:
         if self.model is not None:
             self.model.start_sequence()
         return None
 
-    @pure
     def plan_frame(
         self, engine: FrameEngine, pipeline: AnalysisPipeline, img
     ) -> FramePlan:
@@ -918,7 +910,6 @@ class StaticSerialPolicy:
             roi_kpixels=roi_kpx,
         )
 
-    @pure
     def observe_frame(
         self, plan: FramePlan, analysis: FrameAnalysis, result: FrameResult
     ) -> None:
@@ -981,11 +972,9 @@ class WorstCaseReservationPolicy:
             raise ValueError("worst_case_ms must be positive")
         self.worst_case_ms = float(worst_case_ms)
 
-    @pure
     def begin_run(self, engine: FrameEngine) -> LatencyBudget:
         return LatencyBudget(target_ms=self.worst_case_ms)
 
-    @pure
     def plan_frame(
         self, engine: FrameEngine, pipeline: AnalysisPipeline, img
     ) -> FramePlan:
@@ -993,7 +982,6 @@ class WorstCaseReservationPolicy:
             mapping=Mapping.serial(), predicted_ms=self.worst_case_ms
         )
 
-    @pure
     def observe_frame(
         self, plan: FramePlan, analysis: FrameAnalysis, result: FrameResult
     ) -> None:

@@ -2,7 +2,7 @@
 
 One executed frame used to cost one :class:`FrameLog` dataclass plus
 one list append; over a long sequence that is pure allocator churn in
-the hottest loop of the runtime (``perf/frame-object-churn``).  The
+the hottest loop of the runtime.  The
 engine now writes every frame straight into a :class:`FrameTable` --
 a preallocated structured numpy array for the scalar fields plus
 per-task value columns -- and :class:`~repro.runtime.engine.RunResult`

@@ -32,7 +32,7 @@ def caller(latency_ms: Milliseconds) -> None:
     consume_kb(latency_ms)
 
 
-def drops_unit(latency_ms: Milliseconds):
+def drops_unit(latency_ms: Milliseconds):  # clean: no unit conflict
     return latency_ms * 2.0
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro.analysis.astlint import LintContext, LintRule, lint_paths, lint_source
 from repro.analysis.findings import Severity
-from repro.analysis.rules import WallClockRule, default_rules
+from repro.analysis.rules import default_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -82,36 +82,6 @@ class TestBannedRandom:
         assert lint(src) == []
 
 
-class TestWallClock:
-    SRC = "import time\ntime.perf_counter()\n"
-
-    def test_flagged_in_core(self):
-        # perf_counter in core/ also trips lint/direct-time-call.
-        findings = lint(self.SRC, path="src/repro/core/model.py")
-        assert rules_of(findings) == {"lint/wall-clock", "lint/direct-time-call"}
-
-    def test_from_import_resolved(self):
-        src = "from time import perf_counter\nperf_counter()\n"
-        findings = lint(src, path="src/repro/core/model.py")
-        assert rules_of(findings) == {"lint/wall-clock", "lint/direct-time-call"}
-
-    def test_allowed_outside_core(self):
-        findings = lint(
-            self.SRC,
-            path="src/repro/experiments/bench.py",
-            rules=[WallClockRule()],
-        )
-        assert findings == []
-
-    def test_directories_none_applies_everywhere(self):
-        findings = lint(
-            self.SRC,
-            path="anywhere.py",
-            rules=[WallClockRule(directories=None)],
-        )
-        assert rules_of(findings) == {"lint/wall-clock"}
-
-
 class TestUnitMix:
     def test_mixed_expression_flagged(self):
         findings = lint("bw = kb * KIB * 30.0 / MB\n")
@@ -133,184 +103,6 @@ class TestUnitMix:
     def test_units_module_is_exempt(self):
         src = "x = 5 * KIB / MB\n"
         assert lint(src, path="src/repro/util/units.py") == []
-
-
-class TestEwmaAlpha:
-    def test_keyword_literal_out_of_range(self):
-        findings = lint("f = EwmaFilter(alpha=1.5)\n")
-        assert rules_of(findings) == {"lint/ewma-alpha"}
-
-    def test_zero_alpha_flagged(self):
-        findings = lint("from repro.util.ewma import ewma\ny = ewma(x, 0.0)\n")
-        assert rules_of(findings) == {"lint/ewma-alpha"}
-
-    def test_in_range_literal_ok(self):
-        assert lint("f = EwmaFilter(alpha=0.3)\newma(x, 1.0)\n") == []
-
-    def test_non_literal_alpha_ignored(self):
-        assert lint("f = EwmaFilter(alpha=cfg.alpha)\n") == []
-
-    def test_unrelated_alpha_keyword_ignored(self):
-        assert lint("plot(x, y, alpha=2.0)\n") == []
-
-
-class TestFrozenSetattr:
-    def test_flagged_outside_post_init(self):
-        src = (
-            "class M:\n"
-            "    def update(self, v):\n"
-            "        object.__setattr__(self, 'x', v)\n"
-        )
-        findings = lint(src)
-        assert rules_of(findings) == {"lint/frozen-setattr"}
-        assert "update" in findings[0].message
-
-    def test_module_level_flagged(self):
-        findings = lint("object.__setattr__(obj, 'x', 1)\n")
-        assert rules_of(findings) == {"lint/frozen-setattr"}
-
-    def test_post_init_is_legitimate(self):
-        src = (
-            "class M:\n"
-            "    def __post_init__(self):\n"
-            "        object.__setattr__(self, 'x', 1)\n"
-        )
-        assert lint(src) == []
-
-
-class TestExecutor:
-    def test_process_pool_flagged(self):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "pool = ProcessPoolExecutor(max_workers=4)\n"
-        )
-        findings = lint(src, path="src/repro/profiling/profiler.py")
-        assert rules_of(findings) == {"lint/executor-outside-parallel"}
-        assert "map_sequences" in findings[0].message
-
-    def test_multiprocessing_pool_flagged(self):
-        src = "import multiprocessing\np = multiprocessing.Pool(4)\n"
-        findings = lint(src, path="src/repro/experiments/common.py")
-        assert rules_of(findings) == {"lint/executor-outside-parallel"}
-
-    def test_aliased_import_flagged(self):
-        src = (
-            "import concurrent.futures as cf\n"
-            "pool = cf.ThreadPoolExecutor()\n"
-        )
-        findings = lint(src)
-        assert rules_of(findings) == {"lint/executor-outside-parallel"}
-
-    def test_parallel_pool_module_exempt(self):
-        src = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "pool = ProcessPoolExecutor(max_workers=4)\n"
-        )
-        assert lint(src, path="src/repro/parallel/pool.py") == []
-
-    def test_map_sequences_use_is_clean(self):
-        src = (
-            "from repro.parallel import map_sequences\n"
-            "out = map_sequences(str, [1, 2], jobs=4)\n"
-        )
-        assert lint(src) == []
-
-
-class TestDirectTimeCall:
-    def test_monotonic_flagged(self):
-        src = "import time\nt = time.monotonic()\n"
-        findings = lint(src)
-        assert "lint/direct-time-call" in rules_of(findings)
-
-    def test_perf_counter_ns_flagged(self):
-        src = "import time\nt = time.perf_counter_ns()\n"
-        findings = lint(src)
-        assert "lint/direct-time-call" in rules_of(findings)
-
-    def test_obs_package_exempt(self):
-        src = "import time\nt = time.perf_counter()\n"
-        assert lint(src, path="src/repro/obs/clock.py") == []
-
-    def test_bench_package_exempt(self):
-        src = "import time\nt = time.perf_counter()\n"
-        assert lint(src, path="src/repro/bench/harness.py") == []
-
-    def test_monotonic_s_use_is_clean(self):
-        src = "from repro.obs.clock import monotonic_s\nt = monotonic_s()\n"
-        assert lint(src) == []
-
-    def test_wall_clock_time_not_double_flagged(self):
-        # time.time() is the wall-clock rule's business (in core/), not
-        # this rule's: outside core/ it is allowed by both.
-        src = "import time\nt = time.time()\n"
-        assert lint(src) == []
-
-
-class TestFrameLoop:
-    def test_for_loop_flagged(self):
-        src = (
-            "def drive(sim, frames, mapping):\n"
-            "    out = []\n"
-            "    for k, reports in enumerate(frames):\n"
-            "        out.append(sim.simulate_frame(reports, mapping))\n"
-            "    return out\n"
-        )
-        assert "lint/frame-loop-outside-engine" in rules_of(lint(src))
-
-    def test_comprehension_flagged(self):
-        src = (
-            "def drive(sim, frames, m):\n"
-            "    return [sim.simulate_frame(r, m) for r in frames]\n"
-        )
-        assert "lint/frame-loop-outside-engine" in rules_of(lint(src))
-
-    def test_while_loop_flagged(self):
-        src = (
-            "def drive(sim, queue, m):\n"
-            "    while queue:\n"
-            "        sim.simulate_frame(queue.pop(), m)\n"
-        )
-        assert "lint/frame-loop-outside-engine" in rules_of(lint(src))
-
-    def test_single_call_outside_loop_is_clean(self):
-        src = (
-            "def one(sim, reports, mapping):\n"
-            "    return sim.simulate_frame(reports, mapping)\n"
-        )
-        assert lint(src) == []
-
-    def test_engine_module_exempt(self):
-        src = (
-            "def run(sim, frames, m):\n"
-            "    return [sim.simulate_frame(r, m) for r in frames]\n"
-        )
-        assert lint(src, path="src/repro/runtime/engine.py") == []
-
-    def test_bench_and_profiling_exempt(self):
-        src = (
-            "def run(sim, frames, m):\n"
-            "    return [sim.simulate_frame(r, m) for r in frames]\n"
-        )
-        assert lint(src, path="src/repro/bench/harness.py") == []
-        assert lint(src, path="src/repro/profiling/profiler.py") == []
-
-    def test_other_loops_without_the_call_are_clean(self):
-        src = "total = 0\nfor x in range(4):\n    total += x\n"
-        assert lint(src) == []
-
-    def test_nested_loop_reports_once_per_call(self):
-        src = (
-            "def drive(sim, grid, m):\n"
-            "    for row in grid:\n"
-            "        for r in row:\n"
-            "            sim.simulate_frame(r, m)\n"
-        )
-        findings = [
-            f
-            for f in lint(src)
-            if f.rule == "lint/frame-loop-outside-engine"
-        ]
-        assert len(findings) == 1
 
 
 class TestAppHardcode:
@@ -347,22 +139,6 @@ class TestFixtureFiles:
         findings = lint_paths([FIXTURES / "bad_rng.py"], default_rules())
         assert rules_of(findings) == {"lint/banned-random"}
 
-    def test_core_clock_fixture(self):
-        findings = lint_paths([FIXTURES / "core" / "clocky.py"], default_rules())
-        # perf_counter in core/ trips both the purity rule and the
-        # injectable-clock rule.
-        assert rules_of(findings) == {"lint/wall-clock", "lint/direct-time-call"}
-
-    def test_timed_fixture(self):
-        findings = lint_paths([FIXTURES / "timed.py"], default_rules())
-        assert rules_of(findings) == {"lint/direct-time-call"}
-        assert len(findings) == 2
-
-    def test_frame_loop_fixture(self):
-        findings = lint_paths([FIXTURES / "frame_loop.py"], default_rules())
-        assert rules_of(findings) == {"lint/frame-loop-outside-engine"}
-        assert len(findings) == 1
-
     def test_app_hardcoded_fixture(self):
         findings = lint_paths([FIXTURES / "app_hardcoded.py"], default_rules())
         assert rules_of(findings) == {"lint/app-hardcode"}
@@ -370,13 +146,7 @@ class TestFixtureFiles:
 
     def test_fixture_directory_walk(self):
         findings = lint_paths([FIXTURES], default_rules())
-        assert {
-            "lint/banned-random",
-            "lint/wall-clock",
-            "lint/direct-time-call",
-            "lint/frame-loop-outside-engine",
-            "lint/app-hardcode",
-        } <= rules_of(findings)
+        assert {"lint/banned-random", "lint/app-hardcode"} <= rules_of(findings)
 
 
 class TestRepoIsClean:

@@ -63,18 +63,22 @@ class TestLintFixtures:
 
 class TestGraphFixtures:
     def test_cyclic_graph_fails(self):
-        proc = run_cli("--no-lint", "--graph", f"{BAD_GRAPH}:build_cyclic_graph")
+        proc = run_cli(
+            "--no-lint", "--no-dataflow", "--graph", f"{BAD_GRAPH}:build_cyclic_graph"
+        )
         assert proc.returncode == 1
         assert "graph/cycle" in proc.stdout
         assert "cycle" in proc.stdout.lower()
 
     def test_uncovered_switch_state_fails(self):
-        proc = run_cli("--no-lint", "--graph", f"{BAD_GRAPH}:build_uncovered_graph")
+        proc = run_cli(
+            "--no-lint", "--no-dataflow", "--graph", f"{BAD_GRAPH}:build_uncovered_graph"
+        )
         assert proc.returncode == 1
         assert "graph/switch-coverage" in proc.stdout
 
     def test_stentboost_graph_alone_passes(self):
-        proc = run_cli("--no-lint")
+        proc = run_cli("--no-lint", "--no-dataflow")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -84,10 +88,8 @@ class TestCliSurface:
         assert proc.returncode == 0
         for rule_id in (
             "lint/banned-random",
-            "lint/wall-clock",
             "lint/unit-mix",
-            "lint/ewma-alpha",
-            "lint/frozen-setattr",
+            "lint/app-hardcode",
         ):
             assert rule_id in proc.stdout
 

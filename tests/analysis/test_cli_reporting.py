@@ -1,7 +1,7 @@
-"""CLI surface of the dataflow passes: SARIF, baseline, suppressions.
+"""CLI surface of the unit-inference pass: SARIF, baseline, suppressions.
 
 Subprocess-level tests of ``python -m repro.analysis`` covering the
-reporting features added with the whole-program dataflow engine.
+reporting features on top of the lint and unit-inference passes.
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ class TestDataflowFixtures:
         assert "dataflow/unit-mix" in proc.stdout
         assert "bad_units.py:15" in proc.stdout
 
-    def test_pool_fixture_fails(self):
-        proc = run_cli(str(FIXTURES / "bad_pool.py"), "--no-graph")
-        assert proc.returncode == 1
-        assert "dataflow/pool-global-mutation" in proc.stdout
-        assert "dataflow/pool-worker-closure" in proc.stdout
-
     def test_no_dataflow_flag_skips_the_pass(self):
         proc = run_cli(
             str(FIXTURES / "bad_units.py"), "--no-graph", "--no-dataflow"
@@ -54,18 +48,11 @@ class TestDataflowFixtures:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "dataflow/" not in proc.stdout
 
-    def test_no_effects_no_perf_skip_those_passes(self):
-        proc = run_cli(
-            str(FIXTURES / "bad_effects"), "--no-graph", "--no-effects", "--no-perf"
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "effects/" not in proc.stdout
-
     def test_output_order_is_byte_stable(self):
         args = (
             str(FIXTURES / "bad_units.py"),
-            str(FIXTURES / "bad_pool.py"),
-            str(FIXTURES / "bad_ordering.py"),
+            str(FIXTURES / "bad_rng.py"),
+            str(FIXTURES / "app_hardcoded.py"),
             "--no-graph",
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -99,7 +86,7 @@ class TestSarifOutput:
 
     def test_rules_metadata_present(self):
         proc = run_cli(
-            str(FIXTURES / "bad_ordering.py"),
+            str(FIXTURES / "bad_rng.py"),
             "--no-graph",
             "--format",
             "sarif",
@@ -139,13 +126,13 @@ class TestBaselineWorkflow:
         )
         proc = run_cli(
             str(FIXTURES / "bad_units.py"),
-            str(FIXTURES / "bad_pool.py"),
+            str(FIXTURES / "bad_rng.py"),
             "--no-graph",
             "--baseline",
             str(baseline),
         )
         assert proc.returncode == 1
-        assert "dataflow/pool-global-mutation" in proc.stdout
+        assert "lint/banned-random" in proc.stdout
         assert "dataflow/unit-mix" not in proc.stdout  # baselined away
 
     def test_repo_passes_with_committed_empty_baseline(self, repo_analysis):
@@ -161,15 +148,15 @@ class TestSuppressionWorkflow:
     def test_inline_suppression_silences_finding(self, tmp_path: Path):
         mod = tmp_path / "suppressed.py"
         mod.write_text(
-            "import json\n"
+            "from repro.util.quantity import KBytes, Milliseconds\n"
             "\n"
             "\n"
-            "def write(doc: dict) -> str:\n"
-            "    return json.dumps(doc)  # repro: ignore[dataflow/json-sort-keys]\n"
+            "def total(latency_ms: Milliseconds, payload_kb: KBytes) -> float:\n"
+            "    return latency_ms + payload_kb  # repro: ignore[dataflow/unit-mix]\n"
         )
         proc = run_cli(str(mod), "--no-graph")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "json-sort-keys" not in proc.stdout
+        assert "unit-mix" not in proc.stdout
 
     def test_unused_suppression_is_flagged(self, tmp_path: Path):
         mod = tmp_path / "stale.py"
@@ -197,9 +184,8 @@ class TestListRules:
         for rule_id in (
             "dataflow/unit-mix",
             "dataflow/unit-arg",
-            "dataflow/pool-worker-closure",
-            "dataflow/unordered-accumulation",
-            "dataflow/json-sort-keys",
+            "dataflow/unit-assign",
+            "dataflow/unit-return",
             "graph/bandwidth-budget",
             "analysis/unsuppressed-ignore",
         ):

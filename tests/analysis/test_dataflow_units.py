@@ -66,11 +66,8 @@ class TestSeededFixture:
             ("dataflow/unit-mix", 15),       # ms + KiB addition
             ("dataflow/unit-return", 19),    # returns ms, annotated KiB
             ("dataflow/unit-assign", 23),    # KiB into *_ms name
-            ("dataflow/unitless-return", 27),
             ("dataflow/unit-arg", 32),       # ms into KiB parameter
-            ("dataflow/unitless-return", 35),
             ("dataflow/unit-mix", 40),       # ms vs KiB comparison
-            ("dataflow/unitless-return", 43),
             ("dataflow/unit-mix", 45),       # KiB += into ms accumulator
         }
 
@@ -81,7 +78,6 @@ class TestSeededFixture:
         assert by_rule["dataflow/unit-arg"] == Severity.ERROR
         assert by_rule["dataflow/unit-return"] == Severity.ERROR
         assert by_rule["dataflow/unit-assign"] == Severity.ERROR
-        assert by_rule["dataflow/unitless-return"] == Severity.INFO
 
 
 class TestInterprocedural:

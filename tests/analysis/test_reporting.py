@@ -100,22 +100,22 @@ class TestSuppressions:
     def test_marker_suppresses_matching_finding(self, tmp_path: Path):
         mod = tmp_path / "m.py"
         mod.write_text(
-            "import json\n"
-            "def w(d):\n"
-            "    return json.dumps(d)  # repro: ignore[dataflow/json-sort-keys]\n"
+            "import random\n"
+            "def w():\n"
+            "    return random.random()  # repro: ignore[lint/banned-random]\n"
         )
         markers = scan_suppressions([mod])
         assert len(markers) == 1
         finding = _f(
-            rule="dataflow/json-sort-keys", loc=f"{mod}:3", msg="no sort_keys"
+            rule="lint/banned-random", loc=f"{mod}:3", msg="direct random call"
         )
         assert apply_suppressions([finding], markers) == []
 
     def test_tail_segment_matches(self, tmp_path: Path):
         mod = tmp_path / "m.py"
-        mod.write_text("x = 1  # repro: ignore[json-sort-keys]\n")
+        mod.write_text("x = 1  # repro: ignore[banned-random]\n")
         markers = scan_suppressions([mod])
-        finding = _f(rule="dataflow/json-sort-keys", loc=f"{mod}:1")
+        finding = _f(rule="lint/banned-random", loc=f"{mod}:1")
         assert apply_suppressions([finding], markers) == []
 
     def test_unused_marker_is_reported(self, tmp_path: Path):
@@ -189,8 +189,8 @@ class TestCatalog:
             assert description
         for expected in (
             "dataflow/unit-mix",
-            "dataflow/pool-global-mutation",
-            "dataflow/json-sort-keys",
+            "lint/banned-random",
+            "lint/app-hardcode",
             "graph/cycle",
             UNSUPPRESSED_IGNORE,
         ):

@@ -2,7 +2,7 @@
 
 Every registered workload must survive the same pipeline StentBoost
 does: synthetic corpus generation, serial and parallel profiling
-(byte-identical), the straightforward engine run, and trace
+(byte-identical traces, matching bandwidth ledgers), the straightforward engine run, and trace
 provenance round-trips.  The two new applications additionally pin
 their contrasting scenario dynamics (slow navigation drift vs abrupt
 per-frame switching).
@@ -11,6 +11,7 @@ per-frame switching).
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -82,6 +83,16 @@ class TestPerWorkloadSmoke:
         serial.save(p_serial)
         pooled.save(p_pooled)
         assert p_serial.read_bytes() == p_pooled.read_bytes()
+        # The ledger is never serialized, so compare it directly: a pool
+        # worker that leaks simulator state across sequences shows up
+        # here and nowhere in the saved traces.  Per-sequence partial
+        # sums may move a link total by at most one ulp.
+        s_ledger, p_ledger = serial.meta["ledger"], pooled.meta["ledger"]
+        assert s_ledger.frames == p_ledger.frames == len(serial)
+        assert s_ledger.links() == p_ledger.links()
+        for link in s_ledger.links():
+            a, b = s_ledger.total_bytes(link), p_ledger.total_bytes(link)
+            assert abs(a - b) <= math.ulp(max(a, b)), link
 
     def test_trace_provenance_recorded(self, name):
         traces = profile_corpus(
