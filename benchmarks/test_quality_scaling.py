@@ -16,7 +16,7 @@ from benchmarks.conftest import pedantic
 from repro.core import TripleC
 from repro.experiments.common import make_pipeline
 from repro.experiments.fig7 import fig7_sequence
-from repro.runtime import QualityController, ResourceManager
+from repro.runtime import FrameEngine, QualityController, TripleCPolicy
 from repro.runtime.partition import Partitioner
 
 BUDGET_MS = 40.0
@@ -27,11 +27,11 @@ def _run(ctx, controller, n_frames=100):
     model = TripleC.fit(ctx.traces)
     sim = ctx.profile_config.make_simulator()
     part = Partitioner(sim.platform, model.graph, max_parts=2)
-    mgr = ResourceManager(
+    policy = TripleCPolicy.for_simulator(
         model, sim, partitioner=part, budget_ms=BUDGET_MS,
         quality_controller=controller,
     )
-    return mgr.run_sequence(seq, make_pipeline(seq), seq_key="qb")
+    return FrameEngine(sim, policy).run(seq, make_pipeline(seq), seq_key="qb")
 
 
 def test_quality_scaling(ctx, benchmark):

@@ -15,16 +15,15 @@ import numpy as np
 from repro import (
     CorpusSpec,
     ProfileConfig,
-    ResourceManager,
     SequenceConfig,
     StentBoostPipeline,
     TripleC,
     XRaySequence,
     generate_corpus,
     profile_corpus,
-    run_straightforward,
 )
 from repro.imaging.pipeline import PipelineConfig
+from repro.runtime import FrameEngine, StaticSerialPolicy, TripleCPolicy
 from repro.util.stats import jitter_metrics
 
 
@@ -61,14 +60,11 @@ def main() -> None:
         n_frames=160, seed=777, visibility_dips=1, clutter_level=0.9, injection_frame=40
     )
 
-    sw = run_straightforward(
-        XRaySequence(seq_cfg),
-        make_pipeline(XRaySequence(seq_cfg)),
-        config.make_simulator(),
-        seq_key="demo-sw",
+    sw = FrameEngine(config.make_simulator(), StaticSerialPolicy()).run(
+        XRaySequence(seq_cfg), make_pipeline(XRaySequence(seq_cfg)), seq_key="demo-sw"
     )
-    manager = ResourceManager(model, config.make_simulator())
-    mg = manager.run_sequence(
+    sim = config.make_simulator()
+    mg = FrameEngine(sim, TripleCPolicy.for_simulator(model, sim)).run(
         XRaySequence(seq_cfg), make_pipeline(XRaySequence(seq_cfg)), seq_key="demo-mg"
     )
 

@@ -20,8 +20,8 @@ Package map
     **Triple-C itself**: Markov chains, EWMA+Markov computation
     predictors, cache and bandwidth models, accuracy metrics.
 ``repro.runtime``
-    Semi-automatic parallelization: partitioner, QoS, manager,
-    baselines, co-scheduling.
+    Semi-automatic parallelization: partitioner, QoS, the frame
+    engine with its managed and baseline policies, co-scheduling.
 ``repro.experiments``
     One module per paper table/figure; regenerates every number.
 ``repro.workloads``
@@ -33,7 +33,6 @@ from repro.core import TripleC, TripleCPrediction, prediction_accuracy
 from repro.hw import CostModel, Mapping, PlatformSimulator, blackford
 from repro.imaging import StentBoostPipeline
 from repro.profiling import ProfileConfig, profile_corpus, profile_sequence
-from repro.runtime import ResourceManager, run_straightforward, run_worst_case
 from repro.synthetic import CorpusSpec, SequenceConfig, XRaySequence, generate_corpus
 from repro.workloads import DEFAULT_WORKLOAD, Workload, get_workload, workload_names
 
@@ -55,9 +54,6 @@ __all__ = [
     "ProfileConfig",
     "profile_corpus",
     "profile_sequence",
-    "ResourceManager",
-    "run_straightforward",
-    "run_worst_case",
     "CorpusSpec",
     "SequenceConfig",
     "XRaySequence",

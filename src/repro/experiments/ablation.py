@@ -44,7 +44,7 @@ from repro.core.computation import (
 from repro.core.markov import AdaptiveQuantizer, MarkovChain, MarkovChain2
 from repro.experiments.common import ExperimentContext, make_pipeline
 from repro.profiling import ProfileConfig, TraceSet, profile_corpus
-from repro.runtime import ResourceManager
+from repro.runtime import FrameEngine, TripleCPolicy
 from repro.runtime.partition import Partitioner
 from repro.synthetic import CorpusSpec, generate_corpus
 
@@ -428,21 +428,15 @@ def partition_policy_comparison(
 
     results: dict[str, dict[str, float]] = {}
     for policy in ("robust", "most-likely"):
-        model = ctx.fresh_model()
         sim = ctx.profile_config.make_simulator()
-        mgr = ResourceManager(model, sim)
-        if policy == "most-likely":
-            # Monkey-wire the plain chooser: collapse the plausible
-            # set to the single most likely scenario.
-            original = model.plausible_predictions
-
-            def only_most_likely(roi_kpixels, p_min=0.01, _orig=original):
-                preds = _orig(roi_kpixels, p_min=1.1)  # empty threshold
-                return preds
-
-            model.plausible_predictions = only_most_likely  # type: ignore[method-assign]
+        # A threshold above 1 admits no scenario but the most likely
+        # one: the plain (non-robust) chooser.
+        p_min = 1.1 if policy == "most-likely" else 0.01
+        engine = FrameEngine(
+            sim, TripleCPolicy.for_simulator(ctx.fresh_model(), sim, p_min=p_min)
+        )
         seq = fig7_sequence(n_frames=n_frames, seed=seed)
-        run = mgr.run_sequence(seq, make_pipeline(seq), seq_key=f"pol-{policy}")
+        run = engine.run(seq, make_pipeline(seq), seq_key=f"pol-{policy}")
         lat = run.latency()
         budget = run.budget_ms or 0.0
         results[policy] = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentContext, make_pipeline
 from repro.experiments.fig7 import fig7_sequence
-from repro.runtime import FrameEngine, TripleCPolicy, run_worst_case
+from repro.runtime import FrameEngine, TripleCPolicy, WorstCaseReservationPolicy
 from repro.runtime.coschedule import BackgroundFunction, coschedule
 
 __all__ = ["run"]
@@ -48,13 +48,9 @@ def run(ctx: ExperimentContext, n_frames: int = 150) -> dict:
     static_cores = static_decision.cores_used
 
     worst_budget = float(managed.serial_latency().max()) * 1.1
-    reserved = run_worst_case(
-        seq,
-        make_pipeline(seq),
-        ctx.profile_config.make_simulator(),
-        worst_case_ms=worst_budget,
-        seq_key="co-wc",
-    )
+    reserved = FrameEngine(
+        ctx.profile_config.make_simulator(), WorstCaseReservationPolicy(worst_budget)
+    ).run(seq, make_pipeline(seq), seq_key="co-wc")
 
     bg = BackgroundFunction(work_ms_per_item=5.0)
     res_mg = coschedule(managed, ctx.platform, bg)

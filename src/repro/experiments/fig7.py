@@ -20,9 +20,9 @@ from __future__ import annotations
 from repro.experiments.common import ExperimentContext, make_pipeline
 from repro.runtime import (
     FrameEngine,
+    StaticSerialPolicy,
     TripleCPolicy,
-    run_straightforward,
-    run_worst_case,
+    WorstCaseReservationPolicy,
 )
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
 from repro.util.stats import jitter_metrics
@@ -61,25 +61,16 @@ def run(ctx: ExperimentContext, n_frames: int = 200) -> dict:
     """Run all three curves and compute the comparison metrics."""
     seq = fig7_sequence(n_frames=n_frames)
 
-    sw = run_straightforward(
-        seq,
-        make_pipeline(seq),
-        ctx.profile_config.make_simulator(),
-        seq_key="sw",
-        batched=True,
+    sw = FrameEngine(ctx.profile_config.make_simulator(), StaticSerialPolicy()).run(
+        seq, make_pipeline(seq), seq_key="sw"
     )
     sim = ctx.profile_config.make_simulator()
     engine = FrameEngine(sim, TripleCPolicy.for_simulator(ctx.fresh_model(), sim))
-    mg = engine.run(seq, make_pipeline(seq), seq_key="mg", batched=True)
+    mg = engine.run(seq, make_pipeline(seq), seq_key="mg")
     worst_budget = float(sw.latency().max()) * 1.05
-    wc = run_worst_case(
-        seq,
-        make_pipeline(seq),
-        ctx.profile_config.make_simulator(),
-        worst_case_ms=worst_budget,
-        seq_key="wc",
-        batched=True,
-    )
+    wc = FrameEngine(
+        ctx.profile_config.make_simulator(), WorstCaseReservationPolicy(worst_budget)
+    ).run(seq, make_pipeline(seq), seq_key="wc")
 
     j_sw = jitter_metrics(sw.latency())
     j_mg = jitter_metrics(mg.latency())

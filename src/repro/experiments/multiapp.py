@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentContext, make_pipeline
 from repro.experiments.fig7 import fig7_sequence
-from repro.runtime import CoschedulePolicy, FrameEngine, TripleCPolicy, replay_frames
+from repro.runtime import CoschedulePolicy, FrameEngine, TripleCPolicy, record_tape
 
 __all__ = ["run"]
 
@@ -40,19 +40,19 @@ def _app_frames(ctx: ExperimentContext, seed: int, n_frames: int, core_base: int
     :class:`CoschedulePolicy` placement transform.
     """
     seq = fig7_sequence(n_frames=n_frames, seed=seed)
+    tape = record_tape(seq, make_pipeline(seq))
     sim = ctx.profile_config.make_simulator()
     engine = FrameEngine(sim, TripleCPolicy.for_simulator(ctx.fresh_model(), sim))
-    managed = engine.run(seq, make_pipeline(seq), seq_key=("ma", seed))
+    managed = engine.run_tape(tape, seq_key=("ma", seed))
 
-    seq2 = fig7_sequence(n_frames=n_frames, seed=seed)
     placement = CoschedulePolicy(
         n_cores=ctx.platform.n_cores,
         source=managed,
         core_base=core_base,
         window=half,
     )
-    frames = replay_frames(
-        seq2, make_pipeline(seq2), placement, key=lambda k: ("ma", seed, k)
+    frames = placement.assign(
+        [a.reports for a in tape.analyses], key=lambda k: ("ma", seed, k)
     )
     return frames, managed.budget_ms
 

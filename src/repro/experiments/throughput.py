@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentContext, make_pipeline
 from repro.experiments.fig7 import fig7_sequence
-from repro.runtime import CoschedulePolicy, FrameEngine, TripleCPolicy
+from repro.runtime import CoschedulePolicy, FrameEngine, TripleCPolicy, record_tape
 
 __all__ = ["run"]
 
@@ -33,16 +33,11 @@ PERIOD_MS: float = 1000.0 / 30.0
 def _collect_frames(ctx: ExperimentContext, n_frames: int):
     """Run the pipeline once; keep per-frame reports + managed parts."""
     seq = fig7_sequence(n_frames=n_frames, seed=31337)
+    tape = record_tape(seq, make_pipeline(seq))
     sim = ctx.profile_config.make_simulator()
     engine = FrameEngine(sim, TripleCPolicy.for_simulator(ctx.fresh_model(), sim))
-    managed = engine.run(seq, make_pipeline(seq), seq_key="tp-mg")
-
-    seq2 = fig7_sequence(n_frames=n_frames, seed=31337)
-    pipe = make_pipeline(seq2)
-    reports = []
-    for img, _ in seq2.iter_frames():
-        reports.append(pipe.process(img).reports)
-    return reports, managed
+    managed = engine.run_tape(tape, seq_key="tp-mg")
+    return [a.reports for a in tape.analyses], managed
 
 
 def run(ctx: ExperimentContext, n_frames: int = 120) -> dict:

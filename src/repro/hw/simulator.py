@@ -15,13 +15,15 @@ task -- the quantity Figs. 6 and 7 of the paper plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping as TMapping
+
+import numpy as np
 
 import repro.obs as obs
 from repro.graph.flowgraph import FlowGraph
 from repro.hw.bus import BandwidthLedger
-from repro.hw.cost import CostBreakdown, CostModel
+from repro.hw.cost import BatchCost, CostBreakdown, CostModel
 from repro.hw.mapping import Mapping
 from repro.imaging.common import WorkReport
 from repro.util.units import MS_PER_S
@@ -103,7 +105,9 @@ class PlatformSimulator:
         bandwidth.  The approximation is *causal* (a task only sees
         demand already scheduled), which keeps the schedule
         single-pass while capturing the first-order effect -- see
-        DESIGN.md §7.
+        DESIGN.md §7.  Demand is scoped to one call: the frames of one
+        :meth:`simulate_stream` contend with each other, while a
+        :meth:`simulate_frame` chain never overlaps itself.
     """
 
     def __init__(
@@ -124,33 +128,55 @@ class PlatformSimulator:
         self.halo_fraction = float(halo_fraction)
         self.dram_contention = bool(dram_contention)
         self.ledger = BandwidthLedger()
-        #: Posted DRAM demand intervals: (start_ms, end_ms, bytes_per_ms).
-        self._dram_demand: list[tuple[float, float, float]] = []
 
     # -- contention -----------------------------------------------------------
 
-    def reset_contention(self) -> None:
-        """Drop posted DRAM-demand intervals (e.g. between streams)."""
-        self._dram_demand.clear()
-
-    def _dram_slowdown(self, begin: float, end: float, own_rate: float) -> float:
+    def _dram_slowdown(
+        self,
+        begin: float,
+        end: float,
+        own_rate: float,
+        demand: list[tuple[float, float, float]],
+    ) -> float:
         """Oversubscription factor of the DRAM channels on [begin, end].
 
-        Aggregate demand rate (own + time-weighted overlap of posted
-        intervals) over the total streaming capacity; 1.0 when the
-        window is within capacity.
+        Aggregate demand rate (own + time-weighted overlap of the
+        posted ``(start_ms, end_ms, bytes_per_ms)`` intervals) over the
+        total streaming capacity; 1.0 when the window is within
+        capacity.
         """
         if end <= begin:
             return 1.0
         capacity = self.platform.total_dram_stream_bw / 1e3  # bytes/ms
         overlap_rate = 0.0
         window = end - begin
-        for s, e, rate in self._dram_demand:
+        for s, e, rate in demand:
             ov = min(end, e) - max(begin, s)
             if ov > 0:
                 overlap_rate += rate * (ov / window)
         total = own_rate + overlap_rate
         return max(1.0, total / capacity)
+
+    def contended_costs(self, cost: BatchCost) -> BatchCost:
+        """Pre-priced executions as :meth:`simulate_frame` prices them.
+
+        A frame's chain never overlaps itself, so under DRAM
+        contention an execution competes only with its own traffic:
+        its memory-bound part stretches when the task alone
+        oversubscribes the channels.  The float operations are
+        :meth:`_dram_slowdown`'s with no posted demand.  Returns
+        ``cost`` unchanged when contention is off.
+        """
+        if not self.dram_contention:
+            return cost
+        capacity = self.platform.total_dram_stream_bw / 1e3  # bytes/ms
+        total = cost.total_ms
+        # Idle executions (total 0) get factor 1.0: no stretch.
+        own_rate = np.divide(
+            cost.external_bytes, total, out=np.zeros_like(total), where=total > 0
+        )
+        factor = np.maximum(1.0, own_rate / capacity)
+        return replace(cost, total_ms=total + cost.cache_stall_ms * (factor - 1.0))
 
     # -- helpers --------------------------------------------------------------
 
@@ -203,7 +229,9 @@ class PlatformSimulator:
         frames sharing the cores, use :meth:`simulate_stream`.
         """
         core_free = [start_ms] * self.platform.n_cores
-        return self._schedule_chain(reports, mapping, frame_key, start_ms, core_free)
+        return self._schedule_chain(
+            reports, mapping, frame_key, start_ms, core_free, []
+        )
 
     def simulate_stream(
         self,
@@ -252,11 +280,14 @@ class PlatformSimulator:
             if any(b < a for a, b in zip(arrivals, arrivals[1:])):
                 raise ValueError("arrivals must be non-decreasing")
         core_free = [0.0] * self.platform.n_cores
+        demand: list[tuple[float, float, float]] = []
         results: list[FrameResult] = []
         for k, (reports, mapping, frame_key) in enumerate(frames):
             arrival = arrivals[k] if arrivals is not None else k * period_ms
             results.append(
-                self._schedule_chain(reports, mapping, frame_key, arrival, core_free)
+                self._schedule_chain(
+                    reports, mapping, frame_key, arrival, core_free, demand
+                )
             )
         return results
 
@@ -275,17 +306,9 @@ class PlatformSimulator:
         here; the scheduling arithmetic, ledger records and totals are
         those of :meth:`simulate_frame`, without re-deriving costs or
         building per-task :class:`TaskTiming` records (no per-frame
-        record object in the hot loop).
-
-        Mapping-independent costs are a precondition: DRAM-contention
-        mode stretches compute times by the schedule itself, so it
-        cannot be priced ahead and this method refuses it.
+        record object in the hot loop).  Under DRAM contention the
+        costs come from :meth:`contended_costs`.
         """
-        if self.dram_contention:
-            raise ValueError(
-                "pre-priced frames cannot model DRAM contention; "
-                "use simulate_frame"
-            )
         max_core = mapping.max_core()
         if max_core >= self.platform.n_cores:
             raise ValueError(
@@ -373,8 +396,13 @@ class PlatformSimulator:
         frame_key: tuple[object, ...],
         start_ms: float,
         core_free: list[float],
+        demand: list[tuple[float, float, float]],
     ) -> FrameResult:
-        """Schedule one frame's chain onto (possibly busy) timelines."""
+        """Schedule one frame's chain onto (possibly busy) timelines.
+
+        ``demand`` holds the DRAM-demand intervals posted so far in
+        this call (see ``dram_contention``); the chain appends its own.
+        """
         max_core = mapping.max_core()
         if max_core >= self.platform.n_cores:
             raise ValueError(
@@ -418,7 +446,7 @@ class PlatformSimulator:
                 est_begin = max(prev_end + comm_ms, core_free[cores[0]])
                 own_rate = breakdown.cache.external_bytes / compute_ms
                 factor = self._dram_slowdown(
-                    est_begin, est_begin + compute_ms, own_rate
+                    est_begin, est_begin + compute_ms, own_rate, demand
                 )
                 compute_ms += breakdown.cache_stall_ms * (factor - 1.0)
             task_ms[name] = compute_ms
@@ -464,7 +492,7 @@ class PlatformSimulator:
                 )
             )
             if self.dram_contention and end > begin:
-                self._dram_demand.append(
+                demand.append(
                     (begin, end, breakdown.cache.external_bytes / (end - begin))
                 )
             prev_end = end

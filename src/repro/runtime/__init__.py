@@ -12,17 +12,15 @@ average case:
 * :mod:`repro.runtime.engine` -- the single per-frame
   predict -> repartition -> execute -> observe loop
   (:class:`FrameEngine`) and the :class:`SchedulingPolicy` objects
-  expressing each run mode;
-* :mod:`repro.runtime.manager` -- the managed-run front door
-  (:class:`ResourceManager`), a :class:`TripleCPolicy` configuration;
-* :mod:`repro.runtime.baselines` -- the straightforward static
-  mapping and the worst-case reservation the paper compares against;
+  expressing each run mode: the managed run (:class:`TripleCPolicy`)
+  and the baselines the paper compares it against, the
+  straightforward static mapping (:class:`StaticSerialPolicy`) and
+  the worst-case reservation (:class:`WorstCaseReservationPolicy`);
 * :mod:`repro.runtime.coschedule` -- the "execute more functions on
   the same platform" pay-off: a background workload consuming the
   cores the manager's predictions free up.
 """
 
-from repro.runtime.baselines import run_straightforward, run_worst_case
 from repro.runtime.coschedule import BackgroundFunction, CoScheduleResult
 from repro.runtime.engine import (
     CoschedulePolicy,
@@ -34,11 +32,9 @@ from repro.runtime.engine import (
     StaticSerialPolicy,
     TripleCPolicy,
     WorstCaseReservationPolicy,
-    replay_frames,
     simulate_report_sweep,
 )
 from repro.runtime.frametable import FrameTable
-from repro.runtime.manager import ResourceManager
 from repro.runtime.partition import PartitionDecision, Partitioner
 from repro.runtime.qos import DelayLine, LatencyBudget, MissBudget, QosTier
 from repro.runtime.quality import QUALITY_LEVELS, QualityController, QualityLevel
@@ -61,13 +57,9 @@ __all__ = [
     "StaticSerialPolicy",
     "WorstCaseReservationPolicy",
     "CoschedulePolicy",
-    "replay_frames",
     "simulate_report_sweep",
-    "ResourceManager",
     "FrameLog",
     "RunResult",
-    "run_straightforward",
-    "run_worst_case",
     "BackgroundFunction",
     "CoScheduleResult",
     "QualityLevel",

@@ -16,10 +16,11 @@ holds the machinery that makes that both fast and *bit-exact*:
     count)`` pair, precomputed with each predictor's vectorized
     ``predict_series``.  This is where the batch speedup comes from,
     and it is only possible because compute times are
-    mapping-independent (``dram_contention`` off): the engine can
-    price every execution *before* planning, so the observation
-    series each predictor -- online-updating chains included --
-    would have ingested is known up front.
+    mapping-independent (under DRAM contention too: a frame's chain
+    never overlaps itself): the engine can price every execution
+    *before* planning, so the observation series each predictor --
+    online-updating chains included -- would have ingested is known
+    up front.
 
 :func:`walk_scenario_predictions`
     The scenario-table walk.  The table's transition matrix derives
@@ -33,10 +34,10 @@ holds the machinery that makes that both fast and *bit-exact*:
     the fold, leaving every predictor in the exact state a scalar run
     would have left it in.
 
-Configurations whose predictions cannot be decomposed this way --
-scenario-conditioned predictors, warmed-up predictors, or any
-externally registered backend -- are detected by
-:func:`model_batchable` and fall back to the scalar loop.
+Models whose predictions cannot be decomposed this way --
+scenario-conditioned predictors or any externally registered
+backend -- are detected by :func:`model_batchable` and run the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.util.ewma import ewma
 
 if TYPE_CHECKING:
     from repro.hw.cost import BatchCost
+    from repro.hw.simulator import PlatformSimulator
     from repro.runtime.tape import FrameTape
 
 __all__ = [
@@ -87,33 +89,16 @@ _BATCHABLE_PREDICTORS = (
 )
 
 
-def _fresh(p) -> bool:
-    """Whether a predictor is in its reset state.
-
-    ``predict_series`` walks forward *from reset*; a predictor warmed
-    by an earlier run would make the batch walk diverge from the
-    scalar one, so warm models take the scalar path.
-    """
-    if type(p) is ConstantPredictor:
-        return True
-    if type(p) is LastValuePredictor:
-        return p._last is None
-    if type(p) is MarkovPredictor:
-        return p._last is None
-    if type(p) is EwmaMarkovPredictor:
-        return p._ewma.value is None and p._last_residual is None
-    return p._last_residual is None
-
-
 def model_batchable(model) -> bool:
-    """Whether every predictor of a computation model can be batched.
+    """Whether every predictor of a computation model is one of the
+    decomposable built-ins.
 
-    Requires each predictor to (a) be one of the decomposable
-    built-ins and (b) be in reset state (see :func:`_fresh`).
+    ``predict_series`` walks forward from reset; the policies' run
+    start (``TripleC.start_sequence``) resets every predictor before
+    the walk, so warm state from an earlier run never matters.
     """
     return all(
-        type(p) in _BATCHABLE_PREDICTORS and _fresh(p)
-        for p in model.predictors.values()
+        type(p) in _BATCHABLE_PREDICTORS for p in model.predictors.values()
     )
 
 
@@ -144,7 +129,7 @@ class BatchCosts:
 
 
 def collect_batch_costs(
-    cost_model, tape: "FrameTape", seq_key: object
+    simulator: "PlatformSimulator", tape: "FrameTape", seq_key: object
 ) -> BatchCosts:
     """Price every task execution of a tape with the columnar cost path.
 
@@ -153,14 +138,17 @@ def collect_batch_costs(
     jitter draws are the scalar run's, bit for bit.  The per-task
     report columns come pre-extracted from the tape's cache
     (:meth:`~repro.runtime.tape.FrameTape.cost_columns`), so the only
-    per-call python work left is assembling the frame keys.
+    per-call python work left is assembling the frame keys.  Under
+    DRAM contention each execution is stretched as the simulator
+    would stretch it (:meth:`~repro.hw.simulator.PlatformSimulator.contended_costs`).
     """
+    cost_model = simulator.cost_model
     by_task: dict[str, "BatchCost"] = {}
     exec_frames: dict[str, np.ndarray] = {}
     for name, tc in tape.cost_columns().items():
         keys = [(seq_key, i) for i in tc.indices]
-        by_task[name] = cost_model.time_ms_many(
-            name, tc.reports, keys, columns=tc.columns
+        by_task[name] = simulator.contended_costs(
+            cost_model.time_ms_many(name, tc.reports, keys, columns=tc.columns)
         )
         exec_frames[name] = tc.frames
     return BatchCosts(by_task, exec_frames)

@@ -20,7 +20,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.hw.spec import PlatformSpec
-from repro.runtime.manager import RunResult
+from repro.runtime.engine import RunResult
 from repro.util.units import MS_PER_S
 
 __all__ = ["BackgroundFunction", "CoScheduleResult"]

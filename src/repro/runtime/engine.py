@@ -10,9 +10,11 @@ assembly all live here, while a :class:`SchedulingPolicy` contributes
 only the per-frame *decision* (which mapping, which quality level,
 which prediction).
 
-``ResourceManager`` and the ``baselines`` entry points are thin shims
-over this module; the multiapp/throughput drivers express their
-placements as a :class:`CoschedulePolicy`.
+Callers build the engine directly: the managed run is
+``FrameEngine(sim, TripleCPolicy.for_simulator(model, sim))``, the
+paper's baselines use :class:`StaticSerialPolicy` and
+:class:`WorstCaseReservationPolicy`, and the multiapp/throughput
+drivers express their placements as a :class:`CoschedulePolicy`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "WorstCaseReservationPolicy",
     "CoschedulePolicy",
     "record_tape",
-    "replay_frames",
     "simulate_report_sweep",
 ]
 
@@ -119,6 +120,28 @@ class SchedulingPolicy(Protocol):
         self, plan: FramePlan, analysis: FrameAnalysis, result: FrameResult
     ) -> None:
         """Feed the measured frame back into the policy's model."""
+        ...
+
+    def supports_batch(self) -> bool:
+        """Whether :meth:`plan_frames`/:meth:`observe_frames` reproduce
+        the per-frame steps exactly for this configuration."""
+        ...
+
+    def plan_frames(
+        self, engine: "FrameEngine", tape: FrameTape, costs: BatchCosts
+    ) -> BatchPlans:
+        """Plan a whole recorded tape (vectorized :meth:`plan_frame`)."""
+        ...
+
+    def observe_frames(
+        self,
+        engine: "FrameEngine",
+        tape: FrameTape,
+        plans: BatchPlans,
+        task_ms_frames: list[dict[str, float]],
+    ) -> None:
+        """Feed a whole tape's measurements back (vectorized
+        :meth:`observe_frame`)."""
         ...
 
 
@@ -355,24 +378,37 @@ class FrameEngine:
         pipeline: AnalysisPipeline,
         seq_key: object = 0,
         label: str | None = None,
-        batched: bool = False,
     ) -> RunResult:
         """Execute one sequence; returns the per-frame log.
 
-        With ``batched=True`` the engine records the image pass as a
+        The engine records the image pass as a
         :class:`~repro.runtime.tape.FrameTape` and advances the whole
         sequence through the policy's vectorized batch steps --
-        bit-identical to the scalar loop, several times faster.  When
-        the configuration cannot be batched (DRAM contention, a quality
-        controller, a policy without batch steps, or a warmed-up or
-        non-built-in predictor; see :func:`model_batchable`) the scalar
-        loop runs instead; results and telemetry are the same either way.
+        bit-identical to the scalar loop, several times faster.  Only
+        configurations the batch walk cannot reproduce (a quality
+        controller, or a predictor outside the built-ins; see
+        :func:`model_batchable`) run the scalar loop; results and
+        telemetry are the same either way.
         """
-        if batched and self._batch_supported():
+        if self.policy.supports_batch():
             tape = record_tape(
                 sequence, pipeline, getattr(self.policy, "frame_setup", None)
             )
             return self._run_batched(tape, seq_key, label)
+        return self._run_scalar(sequence, pipeline, seq_key, label)
+
+    def _run_scalar(
+        self,
+        sequence: XRaySequence,
+        pipeline: AnalysisPipeline,
+        seq_key: object,
+        label: str | None,
+    ) -> RunResult:
+        """The per-frame loop: plan, process, simulate, observe.
+
+        The reference the batched walk is pinned against, and the path
+        for configurations it cannot reproduce.
+        """
         budget = self.policy.begin_run(self)
         budget_ms = budget.require() if budget is not None else None
         delay = DelayLine(budget) if budget is not None else None
@@ -403,26 +439,6 @@ class FrameEngine:
                 )
         return result
 
-    def _batch_supported(self) -> bool:
-        """Whether the current configuration can run the batched path.
-
-        Observability does not matter here: both loops emit their
-        telemetry from the frame table after the fold (see
-        :func:`_emit_run_telemetry`).  DRAM contention stretches compute
-        times by the schedule itself, so it cannot be priced up front.
-        """
-        if self.simulator.dram_contention:
-            return False
-        policy = self.policy
-        supports = getattr(policy, "supports_batch", None)
-        if supports is None:
-            return False
-        if not hasattr(policy, "plan_frames"):
-            return False
-        if not hasattr(policy, "observe_frames"):
-            return False
-        return bool(supports())
-
     def run_tape(
         self,
         tape: FrameTape,
@@ -435,9 +451,9 @@ class FrameEngine:
         ``batched=True`` takes the vectorized path when supported and
         falls back to replaying the tape through the scalar loop via
         the tape shims; ``batched=False`` forces the scalar replay
-        (the golden reference the parity suite compares against).
+        (the reference the parity suites compare against).
         """
-        if batched and self._batch_supported():
+        if batched and self.policy.supports_batch():
             return self._run_batched(tape, seq_key, label)
         if getattr(self.policy, "frame_setup", None) is not None:
             raise ValueError(
@@ -449,9 +465,7 @@ class FrameEngine:
                 "tape replay cannot drive a quality controller; the "
                 "recorded analyses are fixed"
             )
-        return self.run(
-            TapeSequence(tape), TapePipeline(tape), seq_key=seq_key, label=label
-        )
+        return self._run_scalar(TapeSequence(tape), TapePipeline(tape), seq_key, label)
 
     def _run_batched(
         self, tape: FrameTape, seq_key: object, label: str | None
@@ -477,7 +491,7 @@ class FrameEngine:
 
         o = obs.get_obs()
         with o.tracer.span("engine.sequence") as seq_span:
-            costs = collect_batch_costs(self.simulator.cost_model, tape, seq_key)
+            costs = collect_batch_costs(self.simulator, tape, seq_key)
             plans: BatchPlans = policy.plan_frames(self, tape, costs)
             n_cores = self.simulator.platform.n_cores
             if any(
@@ -716,8 +730,10 @@ class TripleCPolicy:
     """The paper's semi-automatic parallelization (Section 6).
 
     Each frame: predict with Triple-C, repartition robustly over the
-    plausible scenarios, optionally degrade quality when even maximal
-    repartitioning misses the budget, then feed the measurement back.
+    plausible scenarios (transition probability at least ``p_min``,
+    plus the most likely one), optionally degrade quality when even
+    maximal repartitioning misses the budget, then feed the
+    measurement back.
     """
 
     label = "triple-c managed"
@@ -728,11 +744,13 @@ class TripleCPolicy:
         partitioner: Partitioner,
         budget: LatencyBudget,
         quality_controller=None,
+        p_min: float = 0.01,
     ) -> None:
         self.triplec = triplec
         self.partitioner = partitioner
         self.budget = budget
         self.quality_controller = quality_controller
+        self.p_min = p_min
 
     @classmethod
     def for_simulator(
@@ -743,6 +761,7 @@ class TripleCPolicy:
         budget_ms: float | None = None,
         slack: float = 1.08,
         quality_controller=None,
+        p_min: float = 0.01,
     ) -> "TripleCPolicy":
         """Build with the simulator's overhead constants (the default
         configuration every driver uses)."""
@@ -758,6 +777,7 @@ class TripleCPolicy:
             ),
             LatencyBudget(target_ms=budget_ms, slack=slack),
             quality_controller=quality_controller,
+            p_min=p_min,
         )
 
     def initialize_budget(self) -> float:
@@ -783,7 +803,7 @@ class TripleCPolicy:
         # Robust repartitioning: cover every plausible scenario of the
         # coming frame, not just the most likely one -- a split task
         # that ends up not running costs nothing.
-        scenario_preds = self.triplec.plausible_predictions(roi_kpx)
+        scenario_preds = self.triplec.plausible_predictions(roi_kpx, self.p_min)
         decision: PartitionDecision = self.partitioner.choose_robust(
             scenario_preds, budget
         )
@@ -834,7 +854,7 @@ class TripleCPolicy:
         roi_kpx = tape.plan_roi_px / 1000.0 * scale
         plans.roi_kpixels[:] = roi_kpx
         sids, frame_preds, plausible = walk_scenario_predictions(
-            self.triplec, tape, roi_kpx, costs, plausible=True
+            self.triplec, tape, roi_kpx, costs, plausible=True, p_min=self.p_min
         )
         plans.predicted_scenario[:] = sids
         plans.has_prediction[:] = True
@@ -1068,24 +1088,6 @@ class CoschedulePolicy:
         return [
             (rep, self.mapping_for(k), key(k)) for k, rep in enumerate(reports)
         ]
-
-
-def replay_frames(
-    sequence: XRaySequence,
-    pipeline: AnalysisPipeline,
-    policy: CoschedulePolicy,
-    key: Callable[[int], object],
-) -> list[tuple[dict, Mapping, object]]:
-    """Process a sequence and place every frame under ``policy``.
-
-    The returned ``(reports, mapping, frame_key)`` triples feed
-    ``simulate_stream`` for pipelined multi-application runs.
-    """
-    out = []
-    for k, (img, _truth) in enumerate(sequence.iter_frames()):
-        reports = pipeline.process(img).reports
-        out.append((reports, policy.mapping_for(k), key(k)))
-    return out
 
 
 def simulate_report_sweep(

@@ -6,9 +6,9 @@ and the *scheduling* pass (predict, partition, simulate, observe).
 A :class:`FrameTape` records the image pass -- every
 :class:`~repro.imaging.pipeline.FrameAnalysis` plus the ROI size that
 was visible at planning time -- so the scheduling pass can be re-run
-on its own: through the scalar engine loop (bit-exact replay, the
-golden reference) or through the batched engine
-(:meth:`FrameEngine.run_tape` with ``batched=True``).
+on its own: through the batched engine (:meth:`FrameEngine.run_tape`)
+or through the scalar loop (``batched=False``: bit-exact replay, the
+reference the parity suites compare against).
 
 The planning-time ROI needs care: the scalar loop plans frame ``k``
 *before* processing it, so the policy sees the ROI tracker state left

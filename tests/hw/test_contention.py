@@ -72,16 +72,50 @@ class TestDramContention:
         for a, b in zip(no_cont, with_cont):
             assert b.latency_ms == pytest.approx(a.latency_ms)
 
-    def test_reset_contention(self):
+    def test_repeated_frames_identical(self):
+        """Each ``simulate_frame`` sees an otherwise idle platform: no
+        demand carries over from earlier calls."""
         sim = make_sim(True)
-        sim.simulate_stream(frames(4, lambda k: k), period_ms=0.5)
-        assert sim._dram_demand
-        sim.reset_contention()
-        assert not sim._dram_demand
+        latencies = [
+            sim.simulate_frame({"T": heavy_report()}, Mapping.serial()).latency_ms
+            for _ in range(5)
+        ]
+        assert latencies == [latencies[0]] * 5
+
+    def test_pre_priced_costs_match_simulate_frame(self):
+        """A task that alone oversubscribes the channels is stretched;
+        the pre-priced path stretches it identically."""
+        report = WorkReport(
+            task="T",
+            bytes_in=512 * MIB,
+            bytes_out=512 * MIB,
+            buffers=(BufferAccess("big", 64 * MIB, passes=3.0),),
+        )
+        key = ("c", 0)
+        off = make_sim(False).simulate_frame({"T": report}, Mapping.serial(), key)
+        sim = make_sim(True)
+        live = sim.simulate_frame({"T": report}, Mapping.serial(), key)
+        assert live.latency_ms > off.latency_ms
+        cost = sim.contended_costs(
+            sim.cost_model.time_ms_many("T", [report], [key])
+        )
+        priced = {
+            "T": (
+                cost.total_ms[0],
+                int(cost.eviction_bytes[0]),
+                int(cost.external_bytes[0]),
+            )
+        }
+        pre = sim.simulate_costed_frame({"T": report}, Mapping.serial(), priced)
+        assert pre.latency_ms == live.latency_ms
+        assert pre.task_ms == live.task_ms
 
     def test_slowdown_factor_bounds(self):
         sim = make_sim(True)
-        assert sim._dram_slowdown(0.0, 10.0, own_rate=1.0) == 1.0
-        assert sim._dram_slowdown(5.0, 5.0, own_rate=1e12) == 1.0  # empty window
+        assert sim._dram_slowdown(0.0, 10.0, 1.0, []) == 1.0
+        assert sim._dram_slowdown(5.0, 5.0, 1e12, []) == 1.0  # empty window
         capacity = blackford().total_dram_stream_bw / 1e3
-        assert sim._dram_slowdown(0.0, 10.0, own_rate=2 * capacity) == pytest.approx(2.0)
+        assert sim._dram_slowdown(0.0, 10.0, 2 * capacity, []) == pytest.approx(2.0)
+        # Posted demand overlapping half the window adds half its rate.
+        demand = [(5.0, 20.0, 2 * capacity)]
+        assert sim._dram_slowdown(0.0, 10.0, capacity, demand) == pytest.approx(2.0)

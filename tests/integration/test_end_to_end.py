@@ -10,13 +10,12 @@ import numpy as np
 
 from repro import (
     Mapping,
-    ResourceManager,
     StentBoostPipeline,
     TripleC,
     prediction_accuracy,
-    run_straightforward,
 )
 from repro.imaging.pipeline import PipelineConfig
+from repro.runtime import FrameEngine, StaticSerialPolicy, TripleCPolicy
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
 
 
@@ -58,8 +57,9 @@ class TestFullStack:
                     expected_distance=seq.config.resolved_phantom().marker_separation
                 )
             )
-            mgr = ResourceManager(model, profile_config.make_simulator())
-            return mgr.run_sequence(seq, pipe, seq_key="det")
+            sim = profile_config.make_simulator()
+            engine = FrameEngine(sim, TripleCPolicy.for_simulator(model, sim))
+            return engine.run(seq, pipe, seq_key="det")
 
         a, b = one_run(), one_run()
         np.testing.assert_array_equal(a.latency(), b.latency())
@@ -82,10 +82,13 @@ class TestFullStack:
             )
 
         s1, p1 = pipe()
-        sw = run_straightforward(s1, p1, profile_config.make_simulator(), seq_key="h-sw")
+        sw = FrameEngine(profile_config.make_simulator(), StaticSerialPolicy()).run(
+            s1, p1, seq_key="h-sw"
+        )
         s2, p2 = pipe()
-        mgr = ResourceManager(TripleC.fit(traces), profile_config.make_simulator())
-        mg = mgr.run_sequence(s2, p2, seq_key="h-mg")
+        sim = profile_config.make_simulator()
+        engine = FrameEngine(sim, TripleCPolicy.for_simulator(TripleC.fit(traces), sim))
+        mg = engine.run(s2, p2, seq_key="h-mg")
 
         assert np.std(mg.output_latency()) < 0.4 * np.std(sw.latency())
         assert mg.jitter().worst_over_avg < sw.jitter().worst_over_avg

@@ -14,7 +14,7 @@ import repro.obs as obs
 from repro.imaging.pipeline import PipelineConfig, StentBoostPipeline
 from repro.parallel import map_sequences
 from repro.profiling import ProfileConfig, profile_corpus
-from repro.runtime import ResourceManager
+from repro.runtime import FrameEngine, TripleCPolicy
 from repro.synthetic import CorpusSpec, SequenceConfig, XRaySequence, generate_corpus
 
 
@@ -43,9 +43,10 @@ def managed_obs(traces, profile_config):
             expected_distance=seq.config.resolved_phantom().marker_separation
         )
     )
-    mgr = ResourceManager(TripleC.fit(traces), profile_config.make_simulator())
+    sim = profile_config.make_simulator()
+    engine = FrameEngine(sim, TripleCPolicy.for_simulator(TripleC.fit(traces), sim))
     with obs.observed() as o:
-        result = mgr.run_sequence(seq, pipe, seq_key="t-obs")
+        result = engine.run(seq, pipe, seq_key="t-obs")
     return o, result, seq
 
 

@@ -11,8 +11,8 @@ mapping transforms, all on the fig7 smoke sequence with a model
 trained on the shared test corpus (``CorpusSpec(5, 220, 7)``).
 
 The committed golden file was produced by the pre-refactor
-implementations (``ResourceManager.run_sequence`` and the
-``baselines``/driver loops *before* the frame engine existed), so
+implementations (the managed-run, baseline and driver loops *before*
+the frame engine existed), so
 ``tests/runtime/test_engine_parity.py`` pins the refactored engine
 bit-for-bit to the original behavior.  Only regenerate it when a
 deliberate behavioral change is made (e.g. recalibration), and say so
@@ -31,11 +31,12 @@ from repro.experiments.fig7 import fig7_sequence
 from repro.hw.mapping import Mapping
 from repro.profiling import ProfileConfig, profile_corpus
 from repro.runtime import (
+    FrameEngine,
     Partitioner,
     QualityController,
-    ResourceManager,
-    run_straightforward,
-    run_worst_case,
+    StaticSerialPolicy,
+    TripleCPolicy,
+    WorstCaseReservationPolicy,
 )
 from repro.synthetic import CorpusSpec, generate_corpus
 
@@ -95,32 +96,30 @@ def main() -> None:
     traces = profile_corpus(generate_corpus(CORPUS), config)
     seq = fig7_sequence(n_frames=N_FRAMES)
 
-    sw = run_straightforward(
-        seq, make_pipeline(seq), config.make_simulator(), seq_key="par-sw"
+    sw = FrameEngine(config.make_simulator(), StaticSerialPolicy()).run(
+        seq, make_pipeline(seq), seq_key="par-sw"
     )
 
-    mgr = ResourceManager(TripleC.fit(traces), config.make_simulator())
-    mg = mgr.run_sequence(seq, make_pipeline(seq), seq_key="par-mg")
+    sim = config.make_simulator()
+    mg = FrameEngine(sim, TripleCPolicy.for_simulator(TripleC.fit(traces), sim)).run(
+        seq, make_pipeline(seq), seq_key="par-mg"
+    )
 
     worst_budget = float(sw.latency().max()) * 1.05
-    wc = run_worst_case(
-        seq,
-        make_pipeline(seq),
-        config.make_simulator(),
-        worst_case_ms=worst_budget,
-        seq_key="par-wc",
-    )
+    wc = FrameEngine(
+        config.make_simulator(), WorstCaseReservationPolicy(worst_budget)
+    ).run(seq, make_pipeline(seq), seq_key="par-wc")
 
     model_q = TripleC.fit(traces)
     sim_q = config.make_simulator()
-    mgr_q = ResourceManager(
+    policy_q = TripleCPolicy.for_simulator(
         model_q,
         sim_q,
         partitioner=Partitioner(sim_q.platform, model_q.graph, max_parts=2),
         budget_ms=40.0,
         quality_controller=QualityController(),
     )
-    quality = mgr_q.run_sequence(seq, make_pipeline(seq), seq_key="par-q")
+    quality = FrameEngine(sim_q, policy_q).run(seq, make_pipeline(seq), seq_key="par-q")
 
     n_cores = sim_q.platform.n_cores
     half = n_cores // 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.hw.spec import blackford
 from repro.runtime.coschedule import BackgroundFunction, coschedule, idle_core_ms
-from repro.runtime.manager import FrameLog, RunResult
+from repro.runtime.engine import FrameLog, RunResult
 
 
 def frame(serial_ms, latency_ms, cores):

@@ -51,7 +51,7 @@ def _policy(kind: str, deployment, sim):
 def _observed_run(deployment, kind: str, batched: bool):
     sim = deployment.config.make_simulator()
     engine = FrameEngine(sim, _policy(kind, deployment, sim))
-    assert engine._batch_supported()
+    assert engine.policy.supports_batch()
     with obs.observed() as o:
         result = engine.run_tape(
             deployment.tape, seq_key="obs-par", batched=batched

@@ -1,4 +1,5 @@
-"""Tests for the resource manager (the Fig. 7 loop)."""
+"""Tests for the resource manager (the Fig. 7 loop): the frame engine
+under :class:`TripleCPolicy`."""
 
 from __future__ import annotations
 
@@ -6,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.imaging.pipeline import PipelineConfig, StentBoostPipeline
-from repro.runtime import ResourceManager, run_straightforward
+from repro.runtime import (
+    FrameEngine,
+    QualityController,
+    StaticSerialPolicy,
+    TripleCPolicy,
+)
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
 
 
@@ -38,17 +44,21 @@ def expected_budget(traces):
     return TripleC.fit(traces).expected_frame_ms() * 1.08
 
 
+def managed_engine(model, profile_config, **kwargs) -> FrameEngine:
+    sim = profile_config.make_simulator()
+    return FrameEngine(sim, TripleCPolicy.for_simulator(model, sim, **kwargs))
+
+
 @pytest.fixture(scope="module")
 def managed_run(fresh_model, profile_config, test_seq):
-    mgr = ResourceManager(fresh_model, profile_config.make_simulator())
-    return mgr.run_sequence(test_seq, make_pipe(test_seq), seq_key="t-mg")
+    engine = managed_engine(fresh_model, profile_config)
+    return engine.run(test_seq, make_pipe(test_seq), seq_key="t-mg")
 
 
 @pytest.fixture(scope="module")
 def straightforward_run(profile_config, test_seq):
-    return run_straightforward(
-        test_seq, make_pipe(test_seq), profile_config.make_simulator(), seq_key="t-sw"
-    )
+    engine = FrameEngine(profile_config.make_simulator(), StaticSerialPolicy())
+    return engine.run(test_seq, make_pipe(test_seq), seq_key="t-sw")
 
 
 class TestResourceManager:
@@ -56,6 +66,23 @@ class TestResourceManager:
         # Budget = slack x average-case expectation, computed from the
         # model *before* any online updates.
         assert managed_run.budget_ms == pytest.approx(expected_budget, rel=1e-6)
+        assert managed_run.label == "triple-c managed"
+
+    def test_initialize_budget_before_run(self, traces, profile_config, expected_budget):
+        from repro.core import TripleC
+
+        policy = managed_engine(TripleC.fit(traces), profile_config).policy
+        assert not policy.budget.initialized
+        assert policy.initialize_budget() == pytest.approx(expected_budget, rel=1e-6)
+        assert policy.budget.initialized
+
+    def test_quality_controller_passthrough(self, trained_model, profile_config):
+        controller = QualityController()
+        policy = managed_engine(
+            trained_model, profile_config, quality_controller=controller
+        ).policy
+        assert policy.quality_controller is controller
+        assert not policy.supports_batch()
 
     def test_one_log_per_frame(self, managed_run, test_seq):
         assert len(managed_run.frames) == len(test_seq)
@@ -103,10 +130,8 @@ class TestResourceManager:
         assert managed_run.mean_cores_used() < profile_config.platform.n_cores / 2
 
     def test_explicit_budget_respected(self, trained_model, profile_config, test_seq):
-        mgr = ResourceManager(
-            trained_model, profile_config.make_simulator(), budget_ms=70.0
-        )
-        run = mgr.run_sequence(test_seq, make_pipe(test_seq), seq_key="t-b70")
+        engine = managed_engine(trained_model, profile_config, budget_ms=70.0)
+        run = engine.run(test_seq, make_pipe(test_seq), seq_key="t-b70")
         assert run.budget_ms == 70.0
         assert np.all(run.output_latency() >= 70.0 - 1e-9)
 

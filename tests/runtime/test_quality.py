@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.imaging.pipeline import PipelineConfig, StentBoostPipeline
-from repro.runtime import ResourceManager
+from repro.runtime import FrameEngine, TripleCPolicy
 from repro.runtime.partition import Partitioner
 from repro.runtime.quality import QUALITY_LEVELS, QualityController, QualityLevel
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
@@ -122,14 +122,14 @@ class TestManagedQualityScaling:
             model = TripleC.fit(traces)
             sim = profile_config.make_simulator()
             part = Partitioner(sim.platform, model.graph, max_parts=2)
-            mgr = ResourceManager(
+            policy = TripleCPolicy.for_simulator(
                 model,
                 sim,
                 partitioner=part,
                 budget_ms=40.0,
                 quality_controller=controller,
             )
-            return mgr.run_sequence(seq, pipe, seq_key="q")
+            return FrameEngine(sim, policy).run(seq, pipe, seq_key="q")
 
         fixed = run(None)
         scaled = run(QualityController())

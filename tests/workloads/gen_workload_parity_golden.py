@@ -30,7 +30,7 @@ from repro.experiments.common import make_pipeline
 from repro.graph.scenarios import scenario_table
 from repro.graph.stentboost import build_stentboost_graph
 from repro.profiling import ProfileConfig, profile_corpus
-from repro.runtime import run_straightforward
+from repro.runtime import FrameEngine, StaticSerialPolicy
 from repro.synthetic import CorpusSpec, corpus_configs, generate_corpus
 
 OUT = Path(__file__).parent / "golden" / "workload_parity.json"
@@ -68,8 +68,8 @@ def main() -> None:
     ]
 
     seq = generate_corpus(CorpusSpec(1, N_FRAMES, base_seed=13))[0]
-    sw = run_straightforward(
-        seq, make_pipeline(seq), config.make_simulator(), seq_key="wl-par"
+    sw = FrameEngine(config.make_simulator(), StaticSerialPolicy()).run(
+        seq, make_pipeline(seq), seq_key="wl-par"
     )
 
     doc = {

@@ -17,7 +17,7 @@ import pytest
 
 from repro.profiling import ProfileConfig, profile_corpus
 from repro.profiling.traces import TraceSet
-from repro.runtime import run_straightforward
+from repro.runtime import FrameEngine, StaticSerialPolicy
 from repro.synthetic import CorpusSpec, XRaySequence
 from repro.workloads import (
     DEFAULT_WORKLOAD,
@@ -126,11 +126,8 @@ class TestPerWorkloadSmoke:
         wl = get_workload(name)
         seq = smoke_sequences(name)[0]
         config = ProfileConfig(workload=name)
-        result = run_straightforward(
-            seq,
-            wl.make_pipeline(seq, None),
-            config.make_simulator(),
-            seq_key=f"smoke-{name}",
+        result = FrameEngine(config.make_simulator(), StaticSerialPolicy()).run(
+            seq, wl.make_pipeline(seq, None), seq_key=f"smoke-{name}"
         )
         assert len(result.frames) == len(seq)
         assert all(f.latency_ms > 0 for f in result.frames)
