@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.computation import PredictionContext, TaskTimePredictor
 from repro.core.registry import fit_series_predictor
-from repro.fleet.jobs import JobRecord
+from repro.fleet.jobs import JobRecord, arrival_key
 
 __all__ = [
     "RuntimeEstimator",
@@ -108,12 +108,13 @@ class TripleCEstimator:
     ) -> "TripleCEstimator":
         """Fit per-app predictors from each class's warmup prefix.
 
-        ``warmup_per_app`` earliest-submitted runtimes per class play
-        the role of the profiling corpus; online updating then adapts
+        ``warmup_per_app`` earliest-arriving runtimes per class (in
+        the simulator's arrival order, whatever the order of ``jobs``)
+        play the role of the profiling corpus; online updating then adapts
         the chain to the live mix as completions are observed.
         """
         series: dict[str, list[float]] = {}
-        for job in jobs:  # jobs arrive in submit order
+        for job in sorted(jobs, key=arrival_key):
             bucket = series.setdefault(job.app, [])
             if len(bucket) < warmup_per_app:
                 bucket.append(job.runtime_ms)

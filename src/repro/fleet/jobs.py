@@ -42,6 +42,7 @@ from repro.util.rng import rng_stream
 __all__ = [
     "TRACE_SCHEMA",
     "JobRecord",
+    "arrival_key",
     "AppClass",
     "APP_CLASSES",
     "TENANTS",
@@ -179,13 +180,18 @@ def save_trace(jobs: Sequence[JobRecord], path: str | Path) -> Path:
     return p
 
 
+def arrival_key(job: JobRecord) -> tuple[float, str]:
+    """Arrival order of a trace: submit time, then job id."""
+    return (job.submit_ms, job.job_id)
+
+
 def load_trace(path: str | Path) -> list[JobRecord]:
     """Read a trace document; jobs come back in submit order."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"{path}: expected schema {TRACE_SCHEMA!r}")
     jobs = [JobRecord(**row) for row in doc["jobs"]]
-    jobs.sort(key=lambda j: (j.submit_ms, j.job_id))
+    jobs.sort(key=arrival_key)
     return jobs
 
 

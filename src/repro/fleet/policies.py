@@ -1,11 +1,13 @@
 """Fleet scheduling policies: FCFS and EASY-style backfill.
 
-The scheduler runs once per event batch: given the pending queue (in
-priority order), the fleet's free cores and the estimated finish
-times of running jobs, it returns the placements to start *now*.
-Schedulers never mutate fleet state -- they plan against a free-core
-snapshot and the simulator applies the plan -- and they never see
-true runtimes, only estimates.
+The scheduler runs once per event batch: given the pending queue,
+the fleet's free cores and the estimated finish times of running
+jobs, it returns the placements to start *now*.  Pending jobs arrive
+already in :func:`queue_order` -- the simulator keeps its queue
+sorted on :func:`queue_key` as jobs are admitted -- so a cycle never
+re-sorts the backlog.  Schedulers never mutate fleet state -- they
+plan against a free-core snapshot and the simulator applies the plan
+-- and they never see true runtimes, only estimates.
 
 ``fcfs``
     Strict head-of-line: place jobs in queue order, stop at the
@@ -39,6 +41,7 @@ __all__ = [
     "Scheduler",
     "FcfsScheduler",
     "BackfillScheduler",
+    "queue_key",
     "queue_order",
 ]
 
@@ -73,12 +76,14 @@ class Placement:
     node: str
 
 
+def queue_key(job: PendingJob) -> tuple[int, float, int]:
+    """Sort key of the queue order: priority desc, then submit, then seq."""
+    return (-job.record.priority, job.record.submit_ms, job.seq)
+
+
 def queue_order(pending: Sequence[PendingJob]) -> list[PendingJob]:
     """Deterministic queue order: priority desc, then submit, then seq."""
-    return sorted(
-        pending,
-        key=lambda p: (-p.record.priority, p.record.submit_ms, p.seq),
-    )
+    return sorted(pending, key=queue_key)
 
 
 class Scheduler(Protocol):
@@ -94,18 +99,18 @@ class Scheduler(Protocol):
         fleet: Fleet,
         running: Sequence[RunningJob],
     ) -> list[Placement]:
-        """Placements to start at ``now_ms`` (pending left unchanged)."""
+        """Placements to start at ``now_ms`` (pending left unchanged).
+
+        ``pending`` must be in :func:`queue_order`; schedulers walk it
+        as given and do not re-sort it.
+        """
 
 
-def _best_fit(
-    fleet: Fleet, free: dict[str, int], cores: int, allowed: set[str] | None = None
-) -> FleetNode | None:
+def _best_fit(fleet: Fleet, free: dict[str, int], cores: int) -> FleetNode | None:
     """Best-fit among nodes with ``cores`` free (fewest leftover)."""
     best: FleetNode | None = None
     best_left = -1
     for node in fleet.nodes:
-        if allowed is not None and node.name not in allowed:
-            continue
         left = free[node.name] - cores
         if left < 0:
             continue
@@ -127,9 +132,10 @@ class FcfsScheduler:
         running: Sequence[RunningJob],
     ) -> list[Placement]:
         free = {n.name: n.free_cores for n in fleet.nodes}
+        max_cores = fleet.max_node_cores
         placements: list[Placement] = []
-        for job in queue_order(pending):
-            if job.record.cores > fleet.max_node_cores:
+        for job in pending:
+            if job.record.cores > max_cores:
                 continue  # infeasible anywhere, ever: never block the line
             node = _best_fit(fleet, free, job.record.cores)
             if node is None:
@@ -152,42 +158,33 @@ class BackfillScheduler:
         running: Sequence[RunningJob],
     ) -> list[Placement]:
         free = {n.name: n.free_cores for n in fleet.nodes}
-        # (node, est_finish, cores) of everything occupying cores,
-        # including placements made earlier in this very cycle.
+        max_cores = fleet.max_node_cores
+        placements: list[Placement] = []
+
+        # Phase 1: in-order placement until the head blocks.
+        queue = iter(pending)
+        for head in queue:
+            if head.record.cores > max_cores:
+                continue  # infeasible anywhere, ever: never block the line
+            node = _best_fit(fleet, free, head.record.cores)
+            if node is None:
+                break
+            free[node.name] -= head.record.cores
+            placements.append(Placement(head, node.name))
+        else:
+            return placements
+
+        # Phase 2: reservation for the blocked head -- the earliest
+        # estimated instant enough cores drain on one node.  Running
+        # jobs and this cycle's phase-1 placements occupy cores.
         occupancy: dict[str, list[tuple[float, int]]] = {
             n.name: [] for n in fleet.nodes
         }
         for r in running:
             occupancy[r.node].append((r.est_finish_ms, r.cores))
-
-        placements: list[Placement] = []
-
-        def place(job: PendingJob, node: FleetNode) -> None:
-            free[node.name] -= job.record.cores
-            est_finish = now_ms + node.runtime_ms(job.estimate_ms)
-            occupancy[node.name].append((est_finish, job.record.cores))
-            placements.append(Placement(job, node.name))
-
-        order = [
-            j
-            for j in queue_order(pending)
-            if j.record.cores <= fleet.max_node_cores
-        ]
-
-        # Phase 1: in-order placement until the head blocks.
-        i = 0
-        while i < len(order):
-            node = _best_fit(fleet, free, order[i].record.cores)
-            if node is None:
-                break
-            place(order[i], node)
-            i += 1
-        if i >= len(order):
-            return placements
-
-        # Phase 2: reservation for the blocked head -- the earliest
-        # estimated instant enough cores drain on one node.
-        head = order[i]
+        for p in placements:
+            est_finish = now_ms + fleet.node(p.node).runtime_ms(p.job.estimate_ms)
+            occupancy[p.node].append((est_finish, p.job.record.cores))
         reserved: str | None = None
         shadow = float("inf")
         for node in fleet.nodes:
@@ -204,21 +201,34 @@ class BackfillScheduler:
                 reserved, shadow = node.name, t_avail
 
         # Phase 3: backfill jobs behind the head where they cannot
-        # delay the reservation.
-        for job in order[i + 1 :]:
-            allowed = {
-                n.name
-                for n in fleet.nodes
-                if free[n.name] >= job.record.cores
-                and (
-                    n.name != reserved
-                    or now_ms + n.runtime_ms(job.estimate_ms)
-                    <= shadow + _EPS_MS
-                )
-            }
-            if not allowed:
+        # delay the reservation: best fit among the nodes with room,
+        # the reserved one only for jobs estimated to finish by the
+        # shadow time.  Free cores only fall, so only nodes with a hole
+        # are scanned, a job wider than the widest hole fits nowhere,
+        # and a full fleet ends the cycle.
+        holes = [n for n in fleet.nodes if free[n.name]]
+        max_free = max(free.values())
+        for job in queue:
+            if max_free == 0:
+                break
+            cores = job.record.cores
+            if cores > max_free:
                 continue
-            node = _best_fit(fleet, free, job.record.cores, allowed)
-            if node is not None:
-                place(job, node)
+            best: FleetNode | None = None
+            best_left = -1
+            for node in holes:
+                left = free[node.name] - cores
+                if left < 0 or (best is not None and left >= best_left):
+                    continue
+                if (
+                    node.name != reserved
+                    or now_ms + node.runtime_ms(job.estimate_ms) <= shadow + _EPS_MS
+                ):
+                    best, best_left = node, left
+            if best is not None:
+                free[best.name] -= cores
+                placements.append(Placement(job, best.name))
+                if free[best.name] == 0:
+                    holes.remove(best)
+                max_free = max(free.values())
         return placements

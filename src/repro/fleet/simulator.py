@@ -22,6 +22,7 @@ no-op singletons.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -35,12 +36,13 @@ from repro.fleet.admission import (
 )
 from repro.fleet.estimates import RuntimeEstimator
 from repro.fleet.events import EventKind, EventQueue
-from repro.fleet.jobs import JobRecord
+from repro.fleet.jobs import JobRecord, arrival_key
 from repro.fleet.nodes import Fleet
 from repro.fleet.policies import (
     PendingJob,
     RunningJob,
     Scheduler,
+    queue_key,
 )
 from repro.runtime.qos import QosTier
 
@@ -74,10 +76,10 @@ class JobOutcome:
 @dataclass
 class _Running:
     job: PendingJob
-    node: str
     start_ms: float
     finish_ms: float
-    est_finish_ms: float
+    #: What the scheduler sees of this job, built once at its start.
+    view: RunningJob
 
 
 @dataclass
@@ -198,9 +200,10 @@ class FleetSimulator:
         if len(jobs) != len(trace):
             raise ValueError("duplicate job ids in trace")
         queue = EventQueue()
-        for job in sorted(trace, key=lambda j: (j.submit_ms, j.job_id)):
+        for job in sorted(trace, key=arrival_key):
             queue.push(job.submit_ms, EventKind.ARRIVAL, job.job_id)
 
+        # Kept in queue order (insort on queue_key), as select expects.
         pending: list[PendingJob] = []
         running: dict[str, _Running] = {}
         # Admission projects wait from the *declared* (limit) backlog
@@ -209,6 +212,7 @@ class FleetSimulator:
         # is what consumes the per-policy estimates.
         declared_backlog_core_ms = 0.0
         t_start = min(j.submit_ms for j in trace)
+        max_cores = fleet.max_node_cores
         last_event_ms = t_start
         seq = 0
 
@@ -229,7 +233,7 @@ class FleetSimulator:
                     job = jobs[event.job_id]
                     if event.kind is EventKind.COMPLETION:
                         run = running.pop(event.job_id)
-                        node = fleet.node(run.node)
+                        node = fleet.node(run.view.node)
                         held = run.finish_ms - run.start_ms
                         node.release(job.cores, held)
                         declared_backlog_core_ms -= job.limit_ms * job.cores
@@ -252,14 +256,14 @@ class FleetSimulator:
                                 start_ms=run.start_ms,
                                 finish_ms=run.finish_ms,
                                 wait_ms=run.start_ms - job.submit_ms,
-                                node=run.node,
+                                node=run.view.node,
                                 estimate_ms=run.job.estimate_ms,
                                 actual_ms=run.finish_ms - run.start_ms,
                                 missed_deadline=missed,
                             )
                         )
                     else:  # ARRIVAL
-                        if job.cores > fleet.max_node_cores:
+                        if job.cores > max_cores:
                             # No node will ever fit it: reject at the
                             # door instead of stalling the drain.
                             decision = AdmissionDecision(False, "infeasible")
@@ -269,7 +273,9 @@ class FleetSimulator:
                             )
                         if decision.admitted:
                             estimate = self.estimator.estimate_ms(job)
-                            pending.append(PendingJob(job, estimate, seq))
+                            insort(
+                                pending, PendingJob(job, estimate, seq), key=queue_key
+                            )
                             seq += 1
                             declared_backlog_core_ms += job.limit_ms * job.cores
                         else:
@@ -296,17 +302,8 @@ class FleetSimulator:
                             )
 
                 if pending:
-                    running_view = [
-                        RunningJob(
-                            job_id=r.job.record.job_id,
-                            node=r.node,
-                            cores=r.job.record.cores,
-                            est_finish_ms=r.est_finish_ms,
-                        )
-                        for r in running.values()
-                    ]
                     placements = self.scheduler.select(
-                        now, pending, fleet, running_view
+                        now, pending, fleet, [r.view for r in running.values()]
                     )
                     placed_ids = set()
                     for placement in placements:
@@ -316,9 +313,10 @@ class FleetSimulator:
                         node.allocate(job.cores)
                         finish = now + node.runtime_ms(job.runtime_ms)
                         est_finish = now + node.runtime_ms(pj.estimate_ms)
-                        running[job.job_id] = _Running(
-                            pj, placement.node, now, finish, est_finish
+                        view = RunningJob(
+                            job.job_id, placement.node, job.cores, est_finish
                         )
+                        running[job.job_id] = _Running(pj, now, finish, view)
                         queue.push(finish, EventKind.COMPLETION, job.job_id)
                         wait = now - job.submit_ms
                         admission.on_start(job, wait)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -48,6 +49,17 @@ class TestDeterminism:
         a = synthetic_burst_trace(n_jobs=50, seed=1)
         b = synthetic_burst_trace(n_jobs=50, seed=2)
         assert [j.runtime_ms for j in a] != [j.runtime_ms for j in b]
+
+    def test_trace_order_does_not_matter(self):
+        """The simulator replays arrivals in (submit, job id) order, so
+        the Triple-C warmup prefix must be taken in that order too: a
+        shuffled trace is the same workload."""
+        trace = synthetic_burst_trace(n_jobs=500, seed=3)
+        shuffled = list(trace)
+        random.Random(0).shuffle(shuffled)
+        a = run_policy(trace, "predictive").slo_summary()
+        b = run_policy(shuffled, "predictive").slo_summary()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_all_jobs_accounted(self, smoke_trace):
         result = run_policy(smoke_trace, "easy")
