@@ -120,12 +120,13 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     from repro.experiments import default_context
-    from repro.experiments.export import export_csv
+    from repro.experiments.export import export_csv, run_figures
     from repro.experiments.svgfig import export_svg
 
     ctx = default_context()
-    files = export_csv(ctx, args.out)
-    files += export_svg(ctx, args.out)
+    figures = run_figures(ctx)
+    files = export_csv(ctx, args.out, figures)
+    files += export_svg(args.out, figures)
     for f in files:
         print(f"wrote {f}")
     return 0

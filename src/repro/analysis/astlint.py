@@ -105,8 +105,6 @@ class LintRule:
 
     #: Stable identifier, e.g. ``lint/banned-random``.
     rule_id: str = "lint/unnamed"
-    #: One-line description shown by ``--list-rules``.
-    description: str = ""
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule runs on ``path`` (default: every file)."""

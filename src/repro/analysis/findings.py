@@ -2,52 +2,40 @@
 
 Both the flow-graph checker (:mod:`repro.analysis.graphcheck`) and the
 AST lint (:mod:`repro.analysis.astlint`) report problems as
-:class:`Finding` values rather than raising or printing, so callers --
-the CLI, the tier-2 self-check test, future CI annotations -- can
-filter by severity, render in several formats and decide the exit
-code uniformly.
+:class:`Finding` values rather than raising or printing.  Both CLIs
+end in :func:`report`: the findings are printed as sorted text and
+the exit status is 1 exactly when one of them is an ``error``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "Severity",
     "Finding",
-    "max_severity",
     "count_at_least",
     "sort_key",
     "format_findings",
-    "findings_to_json",
+    "report",
 ]
 
 
 class Severity(enum.IntEnum):
     """Ordered severity of a finding.
 
-    ``INFO`` records expected-but-notable facts (e.g. a task whose
-    working set overflows the L2 by design, feeding the Fig. 5 swap
-    model); ``WARNING`` marks suspicious constructs; ``ERROR`` marks
-    invariant violations that would corrupt predictions at runtime.
+    ``INFO`` records expected-but-notable facts (e.g. violations past
+    schedcheck's report cap, counted but not listed); ``WARNING``
+    marks suspicious constructs; ``ERROR`` marks invariant violations
+    that would corrupt predictions at runtime, and only those fail
+    the gate.
     """
 
     INFO = 0
     WARNING = 1
     ERROR = 2
-
-    @classmethod
-    def parse(cls, name: str) -> "Severity":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; expected one of "
-                f"{[s.name.lower() for s in cls]}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -57,9 +45,9 @@ class Finding:
     Attributes
     ----------
     rule:
-        Stable rule identifier (``graph/cycle``, ``lint/banned-random`` ...).
+        Stable rule identifier (``graph/starved-task``, ``lint/banned-random`` ...).
     severity:
-        How bad it is; only ``ERROR`` findings fail the CLI by default.
+        How bad it is; only ``ERROR`` findings fail the CLI.
     location:
         Where: ``path:line`` for lint findings, a graph element
         description (edge, task, scenario) for graph findings.
@@ -78,15 +66,6 @@ class Finding:
             f"{self.location}: {self.severity.name.lower()} "
             f"[{self.rule}] {self.message}"
         )
-
-
-def max_severity(findings: Iterable[Finding]) -> Severity | None:
-    """Highest severity present, or ``None`` for an empty run."""
-    best: Severity | None = None
-    for f in findings:
-        if best is None or f.severity > best:
-            best = f.severity
-    return best
 
 
 def count_at_least(findings: Iterable[Finding], threshold: Severity) -> int:
@@ -121,11 +100,10 @@ def format_findings(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def findings_to_json(findings: Sequence[Finding]) -> str:
-    """Machine-readable rendering (one JSON document, stable keys),
-    in the same (path, line, rule) order as the text format."""
-    payload = [
-        {**asdict(f), "severity": f.severity.name.lower()}
-        for f in sorted(findings, key=sort_key)
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)
+def report(findings: Sequence[Finding]) -> int:
+    """Print ``findings`` as text; the exit status of both CLIs.
+
+    Returns 1 when any finding is an ``error``, else 0.
+    """
+    print(format_findings(findings))
+    return 1 if count_at_least(findings, Severity.ERROR) else 0

@@ -2,25 +2,18 @@
 
 A compile-time version of the paper's resource arguments: everything
 here is knowable from the :class:`~repro.graph.flowgraph.FlowGraph`
-structure, the Table 1 buffer sizes and the platform spec -- before a
-single frame is rendered or simulated.
+structure and the Table 1 buffer sizes -- before a single frame is
+rendered or simulated.  Each rule keeps a recorded mutant that tier-1
+misses and the gate catches (``docs/analysis.md``).
 
 Checks (rule ids):
 
-``graph/cycle``
-    The task-to-task edge set must be a DAG (Fig. 2 is acyclic; a
-    cycle would deadlock the per-frame schedule).
-``graph/dangling``
-    Every edge endpoint must be a declared task or the ``INPUT`` /
-    ``OUTPUT`` pseudo-node.
 ``graph/switch-coverage``
-    All 2^3 switch states must yield a non-empty, dependency-ordered
-    activation -- the scenario table of Section 5.2 covers eight
-    scenarios, and a hole here means a frame could arrive with no
-    defined schedule.
-``graph/dead-task``
-    A declared task active under *no* scenario is suspicious
-    (typically a stale spec after a graph edit).
+    Every switch state must yield a non-empty activation whose order
+    respects every edge between its tasks -- the scenario table of
+    Section 5.2 covers all 2^3 scenarios, and a hole here means a
+    frame could arrive with no defined schedule.  A cycle among
+    co-active tasks always breaks the order, so it lands here.
 ``graph/starved-task``
     Under every scenario, each active task needs at least one active
     incoming edge (from ``INPUT`` or another active task); a starved
@@ -29,16 +22,6 @@ Checks (rule ids):
     An edge cannot carry more KiB per frame than its producer's
     output buffer or its consumer's input buffer holds (bandwidth
     conservation at task boundaries, Table 1).
-``graph/bandwidth-budget``
-    Per scenario, the aggregate analytic inter-task bandwidth must fit
-    the platform's links (Fig. 4): error above the weakest relevant
-    link, warning above 80 % of it.
-``graph/buffer-budget``
-    Stream tasks whose live working set exceeds the L2 capacity are
-    reported at INFO severity -- this is *expected* for RDG FULL
-    (7,168 KiB intermediate vs 4 MiB L2) and is exactly what feeds
-    the Fig. 5 swap-bandwidth model, but the report makes the
-    overflow set auditable.
 ``graph/phase-budget``
     A phase's live buffer set may not exceed the task's declared
     Table 1 total (input + intermediate + output); if it does, the
@@ -47,48 +30,18 @@ Checks (rule ids):
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.analysis.findings import Finding, Severity
-from repro.graph.flowgraph import Edge, FlowGraph
+from repro.graph.flowgraph import FlowGraph
 from repro.imaging.pipeline import SwitchState
-from repro.util.units import KIB, MB
 
 __all__ = [
-    "CacheLike",
-    "PlatformLike",
     "scenario_ids_for",
-    "check_topology",
     "check_scenarios",
     "check_buffers",
-    "check_bandwidth",
     "check_flowgraph",
 ]
-
-
-@runtime_checkable
-class CacheLike(Protocol):
-    """The cache facts the budget checks consume."""
-
-    capacity_bytes: int
-
-
-@runtime_checkable
-class PlatformLike(Protocol):
-    """The platform facts the resource-budget checks consume.
-
-    A structural subset of :class:`repro.hw.spec.PlatformSpec`; the
-    checks are typed against this protocol rather than duck-typing
-    attribute-by-attribute with ``getattr``, so a platform missing a
-    budget is a type error at the call site, not a silently skipped
-    check.
-    """
-
-    n_cores: int
-    l2: CacheLike
-    l2_bus_bw: float
-    n_l2: int
-    total_dram_stream_bw: float
 
 
 def scenario_ids_for(switch_names: Sequence[str]) -> tuple[int, ...]:
@@ -106,8 +59,6 @@ def scenario_ids_for(switch_names: Sequence[str]) -> tuple[int, ...]:
 #: All eight switch states of the Fig. 2 graph (three switches).
 ALL_SCENARIO_IDS: tuple[int, ...] = scenario_ids_for(("b2", "b1", "b0"))
 
-_PSEUDO = (FlowGraph.INPUT, FlowGraph.OUTPUT)
-
 
 def _task_kb(task: object, attr: str) -> float | None:
     """Duck-typed Table 1 column of a task spec (``None`` if absent)."""
@@ -117,76 +68,14 @@ def _task_kb(task: object, attr: str) -> float | None:
     return None
 
 
-# -- topology ----------------------------------------------------------------
-
-
-def check_topology(
-    tasks: Iterable[str], edges: Sequence[Edge]
-) -> list[Finding]:
-    """Cycle and dangling-endpoint checks on the raw edge set.
-
-    Operates on task *names* plus edges so it can run on specs under
-    construction, before a :class:`FlowGraph` (whose constructor
-    rejects dangling endpoints outright) exists.
-    """
-    findings: list[Finding] = []
-    known = set(tasks)
-
-    for e in edges:
-        for endpoint in (e.src, e.dst):
-            if endpoint not in known and endpoint not in _PSEUDO:
-                findings.append(
-                    Finding(
-                        rule="graph/dangling",
-                        severity=Severity.ERROR,
-                        location=f"edge {e.src}->{e.dst}",
-                        message=f"endpoint {endpoint!r} is not a declared task",
-                    )
-                )
-
-    # Kahn's algorithm over task-to-task edges (pseudo-nodes cannot
-    # participate in a cycle: INPUT has no predecessors, OUTPUT no
-    # successors).
-    succ: dict[str, set[str]] = {t: set() for t in known}
-    indeg: dict[str, int] = {t: 0 for t in known}
-    for e in edges:
-        if e.src in known and e.dst in known and e.dst not in succ[e.src]:
-            succ[e.src].add(e.dst)
-            indeg[e.dst] += 1
-    ready = [t for t, d in indeg.items() if d == 0]
-    removed = 0
-    while ready:
-        node = ready.pop()
-        removed += 1
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if removed < len(known):
-        cyclic = sorted(t for t, d in indeg.items() if d > 0)
-        findings.append(
-            Finding(
-                rule="graph/cycle",
-                severity=Severity.ERROR,
-                location="graph",
-                message=(
-                    "task edge set contains a cycle through "
-                    + ", ".join(cyclic)
-                ),
-            )
-        )
-    return findings
-
-
 # -- scenario coverage and conservation --------------------------------------
 
 
 def check_scenarios(
     graph: FlowGraph, scenario_ids: Sequence[int] = ALL_SCENARIO_IDS
 ) -> list[Finding]:
-    """Switch coverage, dead tasks and per-scenario conservation."""
+    """Switch coverage and per-scenario conservation."""
     findings: list[Finding] = []
-    ever_active: set[str] = set()
 
     for sid in scenario_ids:
         state = SwitchState.from_scenario_id(sid)
@@ -213,7 +102,6 @@ def check_scenarios(
                 )
             )
             continue
-        ever_active.update(order)
 
         active_edges = graph.active_edges(state)
         fed = {e.dst for e in active_edges}
@@ -230,16 +118,6 @@ def check_scenarios(
                         ),
                     )
                 )
-
-    for name in sorted(set(graph.tasks) - ever_active):
-        findings.append(
-            Finding(
-                rule="graph/dead-task",
-                severity=Severity.WARNING,
-                location=f"task {name}",
-                message="task is active under no checked scenario",
-            )
-        )
 
     # Edge payload vs producer/consumer buffer capacity (Table 1).
     for e in graph.edges:
@@ -272,105 +150,36 @@ def check_scenarios(
     return findings
 
 
-# -- resource budgets --------------------------------------------------------
+# -- Table 1 budgets ---------------------------------------------------------
 
 
-def check_buffers(graph: FlowGraph, platform: PlatformLike) -> list[Finding]:
-    """Table 1 working sets vs the platform's L2 capacity."""
+def check_buffers(graph: FlowGraph) -> list[Finding]:
+    """Each phase's live buffer set vs its task's Table 1 total."""
     findings: list[Finding] = []
-    capacity = platform.l2.capacity_bytes
-
     for name, task in sorted(graph.tasks.items()):
         total_kb = _task_kb(task, "total_kb")
-        phases = getattr(task, "phases", ()) or ()
-        live_sets = [(p.name, float(p.total_kb)) for p in phases]
-        if total_kb is not None:
-            for phase_name, live_kb in live_sets:
-                if live_kb > total_kb:
-                    findings.append(
-                        Finding(
-                            rule="graph/phase-budget",
-                            severity=Severity.ERROR,
-                            location=f"task {name}, phase {phase_name}",
-                            message=(
-                                f"phase keeps {live_kb:g} KiB live, more than "
-                                f"the task's declared Table 1 total "
-                                f"({total_kb:g} KiB)"
-                            ),
-                        )
-                    )
-        peak_kb = max((kb for _, kb in live_sets), default=total_kb)
-        if peak_kb is not None and peak_kb * KIB > capacity:
-            findings.append(
-                Finding(
-                    rule="graph/buffer-budget",
-                    severity=Severity.INFO,
-                    location=f"task {name}",
-                    message=(
-                        f"peak working set {peak_kb:g} KiB exceeds the "
-                        f"{capacity // KIB} KiB L2 -- evictions expected "
-                        "(this is what generates the Fig. 5 swap bandwidth)"
-                    ),
-                )
-            )
-    return findings
-
-
-def check_bandwidth(
-    graph: FlowGraph,
-    platform: PlatformLike,
-    scenario_ids: Sequence[int] = ALL_SCENARIO_IDS,
-) -> list[Finding]:
-    """Aggregate scenario bandwidth vs the platform's link budgets."""
-    findings: list[Finding] = []
-    budget = min(float(platform.l2_bus_bw), float(platform.total_dram_stream_bw))
-    if budget <= 0:
-        return findings
-
-    for sid in scenario_ids:
-        state = SwitchState.from_scenario_id(sid)
-        try:
-            scenario_bw = graph.total_bandwidth_mbps(state) * MB
-        except Exception:  # noqa: BLE001 - reported by check_scenarios already
+        if total_kb is None:
             continue
-        if scenario_bw > budget:
-            findings.append(
-                Finding(
-                    rule="graph/bandwidth-budget",
-                    severity=Severity.ERROR,
-                    location=f"scenario {sid}",
-                    message=(
-                        f"inter-task bandwidth {scenario_bw / MB:.0f} MByte/s "
-                        f"exceeds the weakest platform link "
-                        f"({budget / MB:.0f} MByte/s)"
-                    ),
+        for phase in getattr(task, "phases", ()) or ():
+            live_kb = float(phase.total_kb)
+            if live_kb > total_kb:
+                findings.append(
+                    Finding(
+                        rule="graph/phase-budget",
+                        severity=Severity.ERROR,
+                        location=f"task {name}, phase {phase.name}",
+                        message=(
+                            f"phase keeps {live_kb:g} KiB live, more than "
+                            f"the task's declared Table 1 total "
+                            f"({total_kb:g} KiB)"
+                        ),
+                    )
                 )
-            )
-        elif scenario_bw > 0.8 * budget:
-            findings.append(
-                Finding(
-                    rule="graph/bandwidth-budget",
-                    severity=Severity.WARNING,
-                    location=f"scenario {sid}",
-                    message=(
-                        f"inter-task bandwidth {scenario_bw / MB:.0f} MByte/s "
-                        f"uses over 80 % of the weakest platform link "
-                        f"({budget / MB:.0f} MByte/s)"
-                    ),
-                )
-            )
     return findings
 
 
 def check_flowgraph(
-    graph: FlowGraph,
-    platform: PlatformLike | None = None,
-    scenario_ids: Sequence[int] = ALL_SCENARIO_IDS,
+    graph: FlowGraph, scenario_ids: Sequence[int] = ALL_SCENARIO_IDS
 ) -> list[Finding]:
     """Run every graph check; the one-call entry point used by the CLI."""
-    findings = check_topology(graph.tasks, graph.edges)
-    findings += check_scenarios(graph, scenario_ids)
-    if platform is not None:
-        findings += check_buffers(graph, platform)
-        findings += check_bandwidth(graph, platform, scenario_ids)
-    return findings
+    return check_scenarios(graph, scenario_ids) + check_buffers(graph)

@@ -46,10 +46,6 @@ class BannedRandomRule(LintRule):
     """No direct ``np.random.*`` / ``random.*`` calls outside util/rng."""
 
     rule_id = "lint/banned-random"
-    description = (
-        "randomness must come from repro.util.rng named streams, not "
-        "direct numpy.random / random calls"
-    )
 
     #: Files allowed to touch the raw generators (the stream factory).
     allowed_files: tuple[str, ...] = ("util/rng.py",)
@@ -87,10 +83,6 @@ class UnitMixRule(LintRule):
     """No mixing of decimal and binary byte units in one expression."""
 
     rule_id = "lint/unit-mix"
-    description = (
-        "KB/MB/GB (decimal) and KIB/MIB/GIB (binary) may not appear in "
-        "the same expression; convert via repro.util.units helpers"
-    )
 
     decimal: frozenset[str] = frozenset({"KB", "MB", "GB"})
     binary: frozenset[str] = frozenset({"KIB", "MIB", "GIB"})
@@ -128,11 +120,6 @@ class AppHardcodeRule(LintRule):
     """No direct StentBoost graph imports outside workloads/graph."""
 
     rule_id = "lint/app-hardcode"
-    description = (
-        "application layers resolve workloads via repro.workloads; "
-        "importing build_stentboost_graph / repro.graph.stentboost "
-        "elsewhere hard-wires one application in"
-    )
 
     #: The hard-wired module and its builder symbol.
     _MODULE = "repro.graph.stentboost"

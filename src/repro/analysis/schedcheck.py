@@ -55,10 +55,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.graphcheck import PlatformLike, scenario_ids_for
+from repro.analysis.graphcheck import scenario_ids_for
 from repro.core.markov import MarkovChain, product_chain
 from repro.graph.composite import CompositeGraph, build_multiapp_graph
 from repro.graph.flowgraph import FlowGraph
@@ -69,6 +69,7 @@ from repro.util.units import BYTES_PER_PIXEL, HZ_VIDEO, KIB, MB, MIB, MS_PER_S, 
 from repro.workloads import Workload, get_workload
 
 __all__ = [
+    "PlatformLike",
     "MAX_WITNESS_FRAMES",
     "DEFAULT_REPORT_CAP",
     "SchedReport",
@@ -90,6 +91,31 @@ MAX_WITNESS_FRAMES = 32
 DEFAULT_REPORT_CAP = 24
 
 _EPS = 1e-9
+
+
+@runtime_checkable
+class CacheLike(Protocol):
+    """The cache facts the budget checks consume."""
+
+    capacity_bytes: int
+
+
+@runtime_checkable
+class PlatformLike(Protocol):
+    """The platform facts the budget checks consume.
+
+    A structural subset of :class:`repro.hw.spec.PlatformSpec`; the
+    checks are typed against this protocol rather than duck-typing
+    attribute-by-attribute with ``getattr``, so a platform missing a
+    budget is a type error at the call site, not a silently skipped
+    check.
+    """
+
+    n_cores: int
+    l2: CacheLike
+    l2_bus_bw: float
+    n_l2: int
+    total_dram_stream_bw: float
 
 
 # -- static per-task cost ----------------------------------------------------

@@ -3,13 +3,12 @@
 Runs the scenario-space model checker (:mod:`repro.analysis.schedcheck`)
 over one application mix, or -- with ``--apps all`` / no ``--apps`` --
 over the whole composite matrix: every registered workload alone,
-every homogeneous pair and every heterogeneous pair.  Findings flow
-through the same reporting machinery as the main suite (text / JSON /
-SARIF output, committed baselines, ``--fail-on`` severity gate), so
+every homogeneous pair and every heterogeneous pair, on the Blackford
+platform.  It ends like the main suite: the findings are printed as
+text and the exit status is 1 when any of them is an ``error``, so
 the command drops into CI next to ``python -m repro.analysis``::
 
     python -m repro.analysis schedcheck --apps stentboost,stentboost --cores 8
-    python -m repro.analysis schedcheck --apps all --format sarif
     python -m repro.analysis schedcheck --envelope sched-envelope.json
 
 Every run recomputes the matrix; there is no result cache, whose key
@@ -24,16 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import filter_baselined, load_baseline, write_baseline
-from repro.analysis.catalog import rule_catalog
-from repro.analysis.findings import (
-    Finding,
-    Severity,
-    count_at_least,
-    findings_to_json,
-    format_findings,
-)
-from repro.analysis.sarif import findings_to_sarif_json
+from repro.analysis.findings import Finding, report
 from repro.analysis.schedcheck import (
     DEFAULT_REPORT_CAP,
     check_schedulability,
@@ -69,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="core count to check against (default: the platform's)",
     )
     parser.add_argument(
-        "--platform",
-        default="repro.hw.spec:blackford",
-        help="platform-spec factory MODULE:CALLABLE "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--rate-hz",
         type=float,
         default=HZ_VIDEO,
@@ -95,34 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the per-workload feasibility envelope JSON "
         "(consumed by the fleet admission controller)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="subtract a committed baseline; only new findings remain",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fail-on",
-        type=Severity.parse,
-        default=Severity.ERROR,
-        metavar="{error,warning,info}",
-        help="minimum severity that makes the exit status nonzero "
-        "(default: error)",
-    )
     return parser
 
 
@@ -140,13 +96,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # Late import keeps ``--help`` fast and mirrors the lazy workload
     # resolution of the main CLI.
-    from repro.analysis.cli import _load_factory
+    from repro.hw.spec import blackford
     from repro.workloads import workload_names
 
-    try:
-        platform = _load_factory(args.platform)()
-    except (argparse.ArgumentTypeError, ImportError) as exc:
-        raise SystemExit(f"repro.analysis schedcheck: error: {exc}") from exc
+    platform = blackford()
 
     if args.apps == ALL_APPS:
         mixes = matrix_mixes(workload_names())
@@ -162,7 +115,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     findings: list[Finding] = []
     for mix in mixes:
         try:
-            report = check_schedulability(
+            checked = check_schedulability(
                 list(mix),
                 platform,  # type: ignore[arg-type]
                 cores=args.cores,
@@ -173,7 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise SystemExit(
                 f"repro.analysis schedcheck: error: {exc}"
             ) from exc
-        findings += report.findings
+        findings += checked.findings
 
     if args.envelope is not None:
         envelope = compute_envelope(
@@ -188,29 +141,4 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, findings)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
-
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(
-                f"repro.analysis schedcheck: error: {exc}"
-            ) from exc
-        findings = filter_baselined(findings, baseline)
-
-    if args.format == "json":
-        print(findings_to_json(findings))
-    elif args.format == "sarif":
-        descriptions = {
-            rule_id: description
-            for rule_id, (_, description) in rule_catalog().items()
-        }
-        print(findings_to_sarif_json(findings, descriptions))
-    else:
-        print(format_findings(findings))
-
-    return 1 if count_at_least(findings, args.fail_on) else 0
+    return report(findings)

@@ -153,7 +153,9 @@ def _bench_cache(spec: CorpusSpec, jobs: int, cache_dir: Path) -> dict[str, Any]
 
 
 def _bench_model(traces: TraceSet) -> tuple[dict[str, Any], TripleC]:
-    fit_s, model = _timed(lambda: TripleC.fit(traces))
+    # Best-of: the process's first fit also pays one-time warm-up
+    # (imports, first-call setup), which is not fitting.
+    fit_s, model = _timed_best(lambda: TripleC.fit(traces))
     return {"fit_s": fit_s}, model
 
 

@@ -9,17 +9,22 @@ underlying *series* so the figures can be re-plotted with any tool:
   managed_output_ms, predicted_ms
 * ``table2a.csv`` -- the RDG transition matrix
 * ``acf.csv``   -- lag, raw_acf, residual_acf (Fig. 3 inset)
+
+:func:`run_figures` runs each figure experiment once; pass its result
+to both :func:`export_csv` and :func:`repro.experiments.svgfig.export_svg`
+to write the CSV and SVG files from one run.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Any
 
 from repro.experiments import fig3, fig6, fig7, table2
 from repro.experiments.common import ExperimentContext
 
-__all__ = ["export_csv"]
+__all__ = ["run_figures", "export_csv"]
 
 
 def _write(path: Path, header: list[str], rows) -> None:
@@ -29,13 +34,24 @@ def _write(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def run_figures(
+    ctx: ExperimentContext, n_frames_fig3: int = 400, n_frames_fig7: int = 200
+) -> dict[str, dict[str, Any]]:
+    """Fig. 3, Fig. 6 and Fig. 7 results, keyed ``fig3``/``fig6``/``fig7``."""
+    return {
+        "fig3": fig3.run(ctx, n_frames=n_frames_fig3),
+        "fig6": fig6.run(ctx),
+        "fig7": fig7.run(ctx, n_frames=n_frames_fig7),
+    }
+
+
 def export_csv(
     ctx: ExperimentContext,
     out_dir: str | Path,
-    n_frames_fig3: int = 400,
-    n_frames_fig7: int = 200,
+    figures: dict[str, dict[str, Any]],
 ) -> list[Path]:
-    """Run the figure experiments and write their series as CSV.
+    """Write the ``figures`` series (a :func:`run_figures` result) and
+    Table 2(a) as CSV.
 
     Returns the list of files written.
     """
@@ -43,7 +59,7 @@ def export_csv(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    r3 = fig3.run(ctx, n_frames=n_frames_fig3)
+    r3 = figures["fig3"]
     p = out / "fig3.csv"
     _write(
         p,
@@ -60,7 +76,7 @@ def export_csv(
     )
     written.append(p)
 
-    r6 = fig6.run(ctx)
+    r6 = figures["fig6"]
     p = out / "fig6.csv"
     _write(
         p,
@@ -69,7 +85,7 @@ def export_csv(
     )
     written.append(p)
 
-    r7 = fig7.run(ctx, n_frames=n_frames_fig7)
+    r7 = figures["fig7"]
     p = out / "fig7.csv"
     sw = r7["straightforward"].latency()
     mg = r7["managed"].latency()

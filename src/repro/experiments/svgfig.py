@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.experiments import fig3, fig6, fig7
-from repro.experiments.common import ExperimentContext
 
 __all__ = ["LineChart", "export_svg"]
 
@@ -183,17 +181,15 @@ class LineChart:
 
 
 def export_svg(
-    ctx: ExperimentContext,
-    out_dir: str | Path,
-    n_frames_fig3: int = 400,
-    n_frames_fig7: int = 200,
+    out_dir: str | Path, figures: dict[str, dict[str, Any]]
 ) -> list[Path]:
-    """Render Fig. 3, Fig. 6 and Fig. 7 as SVG files."""
+    """Render Fig. 3, Fig. 6 and Fig. 7 as SVG files from ``figures``
+    (a :func:`repro.experiments.export.run_figures` result)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    r3 = fig3.run(ctx, n_frames=n_frames_fig3)
+    r3 = figures["fig3"]
     chart = LineChart(
         title="Fig. 3 - RDG FULL computation time",
         x_label="frame",
@@ -205,7 +201,7 @@ def export_svg(
     chart.add("HPF (residual + mean)", frames, r3["hpf"] + r3["series"].mean())
     written.append(chart.save(out / "fig3.svg"))
 
-    r6 = fig6.run(ctx)
+    r6 = figures["fig6"]
     chart = LineChart(
         title="Fig. 6 - effective latency vs ROI size",
         x_label="ROI size (Kpixels, native)",
@@ -218,7 +214,7 @@ def export_svg(
     chart.add("linear fit (serial)", xs, slope * xs + icpt)
     written.append(chart.save(out / "fig6.svg"))
 
-    r7 = fig7.run(ctx, n_frames=n_frames_fig7)
+    r7 = figures["fig7"]
     chart = LineChart(
         title="Fig. 7 - prediction model vs actual computation time",
         x_label="frame",

@@ -1,8 +1,8 @@
 """Graph fixtures for the analysis CLI and graphcheck unit tests.
 
 Each factory returns a deliberately broken
-:class:`~repro.graph.flowgraph.FlowGraph`; the CLI loads them via
-``--graph tests/analysis/fixtures/bad_graph.py:<factory>``.
+:class:`~repro.graph.flowgraph.FlowGraph`; the tests pass them to
+``check_flowgraph`` directly.
 """
 
 from __future__ import annotations

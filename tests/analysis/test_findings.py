@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro.analysis.findings import (
     Finding,
     Severity,
     count_at_least,
-    findings_to_json,
     format_findings,
-    max_severity,
+    report,
 )
 
 
@@ -24,23 +19,8 @@ class TestSeverity:
     def test_ordering(self):
         assert Severity.INFO < Severity.WARNING < Severity.ERROR
 
-    @pytest.mark.parametrize("name", ["error", "ERROR", "Error"])
-    def test_parse(self, name):
-        assert Severity.parse(name) is Severity.ERROR
-
-    def test_parse_unknown(self):
-        with pytest.raises(ValueError, match="unknown severity"):
-            Severity.parse("fatal")
-
 
 class TestAggregation:
-    def test_max_severity_empty(self):
-        assert max_severity([]) is None
-
-    def test_max_severity(self):
-        fs = [_f("a", Severity.INFO), _f("b", Severity.ERROR)]
-        assert max_severity(fs) is Severity.ERROR
-
     def test_count_at_least(self):
         fs = [
             _f("a", Severity.INFO),
@@ -77,14 +57,12 @@ class TestRendering:
     def test_format_empty_is_clean(self):
         assert format_findings([]) == "clean"
 
-    def test_json_roundtrip(self):
-        fs = [_f("lint/unit-mix", Severity.WARNING, "f.py:3", "mix")]
-        payload = json.loads(findings_to_json(fs))
-        assert payload == [
-            {
-                "rule": "lint/unit-mix",
-                "severity": "warning",
-                "location": "f.py:3",
-                "message": "mix",
-            }
-        ]
+
+class TestReport:
+    def test_only_an_error_fails(self, capsys):
+        assert report([]) == 0
+        assert report([_f("a", Severity.INFO), _f("b", Severity.WARNING)]) == 0
+        assert report([_f("a", Severity.INFO), _f("c", Severity.ERROR)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "clean"
+        assert out.endswith("2 finding(s): 1 error, 1 info\n")

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from repro.analysis.findings import Severity
 from repro.analysis.graphcheck import (
-    check_bandwidth,
     check_buffers,
     check_flowgraph,
     check_scenarios,
-    check_topology,
 )
 from repro.graph.flowgraph import Edge, FlowGraph
 from repro.graph.stentboost import build_stentboost_graph
 from repro.graph.task import PhaseSpec, TaskSpec
-from repro.hw.spec import blackford
 from repro.imaging.pipeline import SwitchState
 
 from tests.analysis.fixtures.bad_graph import (
@@ -36,24 +31,22 @@ def rules_of(findings) -> set[str]:
 
 class TestTopology:
     def test_cycle_detected(self):
-        g = build_cyclic_graph()
-        findings = check_topology(g.tasks, g.edges)
-        (cycle,) = [f for f in findings if f.rule == "graph/cycle"]
-        assert cycle.severity is Severity.ERROR
-        assert "A" in cycle.message and "B" in cycle.message
-
-    def test_dangling_endpoint(self):
-        findings = check_topology(["A"], [Edge("A", "GHOST", 1.0)])
-        (dangling,) = [f for f in findings if f.rule == "graph/dangling"]
-        assert "GHOST" in dangling.message
+        # A cycle among co-active tasks breaks the activation order of
+        # every scenario, so it is a coverage hole.
+        findings = check_flowgraph(build_cyclic_graph())
+        assert rules_of(findings) == {"graph/switch-coverage"}
+        assert all(f.severity is Severity.ERROR for f in findings)
+        assert all("violates dependency" in f.message for f in findings)
 
     def test_clean_chain(self):
+        tasks = {"A": _task("A"), "B": _task("B")}
         edges = [
             Edge(FlowGraph.INPUT, "A", 1.0),
             Edge("A", "B", 1.0),
             Edge("B", FlowGraph.OUTPUT, 1.0),
         ]
-        assert check_topology(["A", "B"], edges) == []
+        g = FlowGraph(tasks, edges, lambda state: ["A", "B"])
+        assert check_flowgraph(g) == []
 
 
 class TestScenarios:
@@ -70,8 +63,7 @@ class TestScenarios:
         g = build_uncovered_graph()
         g._activation = lambda state: []
         findings = check_scenarios(g, scenario_ids=[0])
-        # The empty activation is the hole; it also leaves every task dead.
-        assert rules_of(findings) == {"graph/switch-coverage", "graph/dead-task"}
+        assert rules_of(findings) == {"graph/switch-coverage"}
         (hole,) = [f for f in findings if f.rule == "graph/switch-coverage"]
         assert "no tasks" in hole.message
 
@@ -87,15 +79,6 @@ class TestScenarios:
         findings = check_scenarios(g, scenario_ids=[0])
         starved = [f for f in findings if f.rule == "graph/starved-task"]
         assert len(starved) == 1 and "task C" in starved[0].location
-
-    def test_dead_task_warning(self):
-        tasks = {"A": _task("A"), "UNUSED": _task("UNUSED")}
-        edges = [Edge(FlowGraph.INPUT, "A", 64.0)]
-        g = FlowGraph(tasks, edges, lambda state: ["A"])
-        findings = check_scenarios(g)
-        (dead,) = [f for f in findings if f.rule == "graph/dead-task"]
-        assert dead.severity is Severity.WARNING
-        assert "UNUSED" in dead.location
 
     def test_edge_over_producer_capacity(self):
         tasks = {"A": _task("A", output_kb=32.0), "B": _task("B")}
@@ -134,36 +117,14 @@ class TestBudgets:
         g = FlowGraph(
             {"T": t}, [Edge(FlowGraph.INPUT, "T", 64.0)], lambda state: ["T"]
         )
-        findings = check_buffers(g, blackford())
-        assert "graph/phase-budget" in rules_of(findings)
-
-    def test_l2_overflow_reported_as_info(self):
-        findings = check_buffers(build_stentboost_graph(), blackford())
-        overflow = [f for f in findings if f.rule == "graph/buffer-budget"]
-        assert {f.location for f in overflow} >= {"task RDG_FULL", "task ENH"}
-        assert all(f.severity is Severity.INFO for f in overflow)
-
-    def test_bandwidth_budget_error_on_tiny_link(self):
-        g = build_stentboost_graph()
-        platform = SimpleNamespace(
-            l2_bus_bw=1.0,  # one byte per second
-            total_dram_stream_bw=1.0,
-        )
-        findings = check_bandwidth(g, platform)
-        assert all(f.rule == "graph/bandwidth-budget" for f in findings)
-        assert any(f.severity is Severity.ERROR for f in findings)
-
-    def test_bandwidth_fits_blackford(self):
-        findings = check_bandwidth(build_stentboost_graph(), blackford())
-        assert findings == []
+        findings = check_buffers(g)
+        assert rules_of(findings) == {"graph/phase-budget"}
+        assert findings[0].severity is Severity.ERROR
 
 
 class TestFullGraph:
     def test_stentboost_has_no_errors(self):
-        findings = check_flowgraph(build_stentboost_graph(), blackford())
-        assert [f for f in findings if f.severity >= Severity.WARNING] == []
-        # ... but the expected L2 overflows are reported for audit.
-        assert "graph/buffer-budget" in rules_of(findings)
+        assert check_flowgraph(build_stentboost_graph()) == []
 
     def test_worst_case_scenario_is_heaviest(self):
         """Sanity: the Section 5.2 worst case carries the most bandwidth."""

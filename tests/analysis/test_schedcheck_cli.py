@@ -1,6 +1,6 @@
 """Tests for ``python -m repro.analysis schedcheck``.
 
-Exit-code semantics, byte-identical SARIF across runs, the
+Exit-code semantics, byte-identical output across runs, the
 feasibility-envelope file, and the subcommand dispatch through the
 main analysis CLI.
 """
@@ -32,20 +32,12 @@ class TestExitCodes:
         assert main(INFEASIBLE) == 1
         out = capsys.readouterr().out
         assert "sched/compute-budget" in out
+        assert "sched/deadline" in out
         assert "witness (" in out and "stationary p=" in out
-
-    def test_fail_on_warning_tightens_the_gate(self, capsys):
-        assert main(FEASIBLE + ["--fail-on", "warning"]) == 1
-        capsys.readouterr()
 
     def test_unknown_workload_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["--apps", "no-such-app"])
-        capsys.readouterr()
-
-    def test_bad_platform_spec_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(FEASIBLE + ["--platform", "no.such.module:thing"])
         capsys.readouterr()
 
 
@@ -62,24 +54,12 @@ class TestMatrix:
 
 
 class TestDeterminism:
-    def test_sarif_is_byte_identical_across_runs(self, capsys):
-        assert main(FEASIBLE + ["--format", "sarif"]) == 0
+    def test_text_is_byte_identical_across_runs(self, capsys):
+        assert main(FEASIBLE) == 0
         first = capsys.readouterr().out
-        assert main(FEASIBLE + ["--format", "sarif"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        doc = json.loads(first)
-        assert doc["version"] == "2.1.0"
-        rules = {
-            r["id"]
-            for r in doc["runs"][0]["tool"]["driver"]["rules"]
-        }
-        assert "sched/l2-pressure" in rules
-
-    def test_json_format_parses(self, capsys):
-        assert main(INFEASIBLE + ["--format", "json"]) == 1
-        findings = json.loads(capsys.readouterr().out)
-        assert any(f["rule"] == "sched/deadline" for f in findings)
+        assert main(FEASIBLE) == 0
+        assert capsys.readouterr().out == first
+        assert "sched/l2-pressure" in first
 
 
 class TestEnvelope:
@@ -105,15 +85,6 @@ class TestEnvelope:
 
         caps = _load_envelope(out)
         assert caps == doc["max_instances"]
-
-
-class TestBaseline:
-    def test_baseline_swallows_known_violations(self, tmp_path, capsys):
-        baseline = tmp_path / "sched-baseline.json"
-        assert main(INFEASIBLE + ["--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(INFEASIBLE + ["--baseline", str(baseline)]) == 0
-        capsys.readouterr()
 
 
 class TestDispatch:

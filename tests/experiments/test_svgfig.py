@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.experiments.export import run_figures
 from repro.experiments.svgfig import LineChart, export_svg
 
 
@@ -53,9 +54,8 @@ class TestLineChart:
 
 class TestExportSvg:
     def test_writes_three_figures(self, tiny_context, tmp_path):
-        files = export_svg(
-            tiny_context, tmp_path, n_frames_fig3=60, n_frames_fig7=40
-        )
+        figures = run_figures(tiny_context, n_frames_fig3=60, n_frames_fig7=40)
+        files = export_svg(tmp_path, figures)
         assert {f.name for f in files} == {"fig3.svg", "fig6.svg", "fig7.svg"}
         for f in files:
             root = ET.fromstring(f.read_text())
