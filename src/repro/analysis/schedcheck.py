@@ -61,7 +61,6 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.graphcheck import scenario_ids_for
 from repro.core.markov import MarkovChain, product_chain
 from repro.graph.composite import CompositeGraph, build_multiapp_graph
-from repro.graph.flowgraph import FlowGraph
 from repro.graph.scenarios import scenario_name
 from repro.hw.cost import DEFAULT_TASK_COSTS, TaskCostSpec
 from repro.imaging.pipeline import SwitchState
@@ -187,7 +186,10 @@ class _AppModel:
         for sid in ids:
             state = SwitchState.from_scenario_id(sid)
             self.loads.append(self._load(state, costs, rate_hz))
-            self.span_ms.append(self._span(state, costs, cores))
+            try:
+                self.span_ms.append(self._span(state, costs, cores))
+            except ValueError as exc:
+                raise ValueError(f"workload {workload.name!r}: {exc}") from exc
         self.max_load = _Load(
             max(l.cost_ms for l in self.loads),
             max(l.bw_bytes for l in self.loads),
@@ -400,7 +402,9 @@ def check_schedulability(
     platform's core count.  ``graph`` optionally supplies a prebuilt
     composite; by default the mix is materialized through
     :func:`repro.graph.composite.build_multiapp_graph`, which also
-    validates that the composite graph itself is well formed.
+    validates that the composite graph itself is well formed.  A
+    workload whose activation order runs against one of its edges
+    raises ``ValueError`` naming the workload and the edge.
     """
     if not apps:
         raise ValueError("need at least one app")

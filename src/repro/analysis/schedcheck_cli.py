@@ -6,7 +6,10 @@ over the whole composite matrix: every registered workload alone,
 every homogeneous pair and every heterogeneous pair, on the Blackford
 platform.  It ends like the main suite: the findings are printed as
 text and the exit status is 1 when any of them is an ``error``, so
-the command drops into CI next to ``python -m repro.analysis``::
+the command drops into CI next to ``python -m repro.analysis``.  A
+mix it cannot model (an unknown workload name, a workload whose
+activation order violates one of its edges) ends the run with one
+``error:`` line and a nonzero exit instead::
 
     python -m repro.analysis schedcheck --apps stentboost,stentboost --cores 8
     python -m repro.analysis schedcheck --envelope sched-envelope.json
@@ -122,7 +125,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 rate_hz=args.rate_hz,
                 report_cap=args.report_cap,
             )
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             raise SystemExit(
                 f"repro.analysis schedcheck: error: {exc}"
             ) from exc

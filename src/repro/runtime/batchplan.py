@@ -320,9 +320,9 @@ def walk_scenario_predictions(
     (``TripleC.plausible_predictions()``).
 
     The scenario table is read *and observed* per frame in the scalar
-    loop's order: its transition matrix is recomputed from counts on
-    every access, so interleaving is what keeps prediction ``k``
-    identical to a scalar run that observed frames ``< k``.
+    loop's order: each ``observe`` re-normalises the observed row of
+    its transition matrix, so interleaving is what keeps prediction
+    ``k`` identical to a scalar run that observed frames ``< k``.
 
     With observability on, the walk also counts the scalar policies'
     ``predict`` calls per task and observation count -- one for the

@@ -7,11 +7,15 @@ main analysis CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.analysis.schedcheck_cli import main, matrix_mixes
+from repro.graph.flowgraph import Edge, FlowGraph
+from repro.workloads import base as workload_base
+from repro.workloads import get_workload
 
 FEASIBLE = ["--apps", "stentboost,stentboost", "--cores", "8"]
 INFEASIBLE = [
@@ -39,6 +43,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["--apps", "no-such-app"])
         capsys.readouterr()
+
+    def test_activation_order_violation_is_one_error_line(
+        self, monkeypatch, capsys
+    ):
+        """An edge the activation list runs backwards (LOC is listed
+        after FEAT_FULL) is reported, not raised as a traceback."""
+        robot = get_workload("robotvision")
+
+        def build_graph() -> FlowGraph:
+            g = robot.build_graph()
+            return FlowGraph(
+                g.tasks,
+                [*g.edges, Edge("LOC", "FEAT_FULL", 0.5)],
+                g._activation,
+            )
+
+        bad = dataclasses.replace(robot, name="rvbackedge", build_graph=build_graph)
+        monkeypatch.setitem(workload_base._REGISTRY, bad.name, bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["--apps", "rvbackedge"])
+        capsys.readouterr()
+        message = str(exc.value.code)
+        assert message.startswith("repro.analysis schedcheck: error: ")
+        assert "\n" not in message
+        assert "'rvbackedge'" in message
+        assert "LOC -> FEAT_FULL" in message
 
 
 class TestMatrix:
