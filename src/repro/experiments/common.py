@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from repro.core.triplec import TripleC
@@ -41,8 +41,11 @@ __all__ = ["ExperimentContext", "default_context", "make_pipeline"]
 
 #: Bump when cost-model calibration or pipeline behaviour changes, so
 #: stale cached traces are never reused.  (v4: a v3 shard may hold
-#: another workload's records.)
-CALIBRATION_VERSION = "v4"
+#: another workload's records.  v5: a v4 shard's sidecar has the v1
+#: layout, one compressed member per task, which the loader no longer
+#: reads -- each v4 shard would load through the slow JSON fallback
+#: forever instead of re-profiling once.)
+CALIBRATION_VERSION = "v5"
 
 
 def _cache_dir() -> Path:
@@ -64,9 +67,20 @@ def make_pipeline(
     return get_workload(workload).make_pipeline(sequence, None)
 
 
+def _plain(value: object) -> object:
+    """A dataclass as nested dicts of its fields (leaves as they are)."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def _sequence_blob(config: SequenceConfig) -> str:
-    """Stable serialization of a sequence config (nested dataclasses)."""
-    return json.dumps(asdict(config), sort_keys=True)
+    """Stable serialization of a sequence config (nested dataclasses).
+
+    Equal to ``json.dumps(asdict(config), sort_keys=True)`` without
+    ``asdict``'s deep copy of every nested spec.
+    """
+    return json.dumps(_plain(config), sort_keys=True)
 
 
 @dataclass

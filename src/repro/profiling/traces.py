@@ -19,10 +19,11 @@ during profiling.
 
 Persistence keeps the JSON file byte-identical to the historical
 format (it stays the authoritative, fingerprinted artifact); ``save``
-additionally drops a compact ``.npz`` sidecar holding the raw columns,
-and ``load`` takes the sidecar fast path when its recorded SHA-256 of
-the JSON text matches the file on disk, falling back to JSON parsing
-whenever the sidecar is missing, stale, or unreadable.
+additionally drops an uncompressed three-member ``.npz`` sidecar
+(header, rows, task matrix), and ``load`` takes the sidecar fast path
+when its recorded SHA-256 of the JSON text matches the file on disk,
+falling back to JSON parsing whenever the sidecar is missing, stale,
+of another format version, or unreadable.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ TRACE_DTYPE = np.dtype(
 _MIN_CAPACITY = 64
 
 #: Sidecar format tag; bump when the array layout changes.
-_NPZ_FORMAT = "repro-traces-npz/1"
+_NPZ_FORMAT = "repro-traces-npz/2"
 
 
 class TraceSet:
@@ -436,9 +437,11 @@ class TraceSet:
 
         The JSON file is byte-identical to the historical format and
         stays authoritative.  The sidecar at ``path.with_suffix(".npz")``
-        holds the raw columns keyed by the SHA-256 of the JSON text,
-        so :meth:`load` can skip record parsing when the pair is
-        consistent and ignore the sidecar when it is stale.
+        is an uncompressed ``np.savez`` archive: ``header`` (provenance,
+        task list, SHA-256 of the JSON text), ``rows`` (:data:`TRACE_DTYPE`)
+        and ``task_ms`` (``(n_tasks, n)`` float64, NaN where a task did
+        not run, rows in header task order).  :meth:`load` ignores it
+        when it is stale or of another format version.
         """
         meta = self._json_meta()
         payload = {
@@ -464,15 +467,13 @@ class TraceSet:
             "meta": meta,
             "tasks": tasks,
         }
-        arrays: dict[str, np.ndarray] = {
-            "header": np.asarray(json.dumps(header, sort_keys=True)),
-            "rows": self._rows[:n].copy(),
-        }
-        # Columns are numbered (task names may not be npz-safe) and
-        # mapped back through the header's task list on load.
-        for i, task in enumerate(tasks):
-            arrays[f"task_{i}"] = self._task_ms[task][:n].copy()
-        np.savez_compressed(target.with_suffix(".npz"), **arrays)
+        task_ms = np.array([self._task_ms[t][:n] for t in tasks], dtype=np.float64)
+        np.savez(
+            target.with_suffix(".npz"),
+            header=np.asarray(json.dumps(header, sort_keys=True)),
+            rows=self._rows[:n],
+            task_ms=task_ms.reshape(len(tasks), n),
+        )
 
     @staticmethod
     def _from_arrays(data, header: dict[str, object]) -> "TraceSet":
@@ -481,6 +482,12 @@ class TraceSet:
         if rows.dtype != TRACE_DTYPE:
             raise ValueError("sidecar row layout mismatch")
         n = rows.shape[0]
+        tasks = header.get("tasks", [])
+        if not isinstance(tasks, list):
+            raise ValueError("sidecar header 'tasks' must be a list")
+        task_ms = np.asarray(data["task_ms"], dtype=np.float64)
+        if task_ms.shape != (len(tasks), n):
+            raise ValueError("sidecar task matrix shape mismatch")
         ts = TraceSet(
             pixel_scale=float(header["pixel_scale"]),
             platform=str(header["platform"]),
@@ -492,16 +499,10 @@ class TraceSet:
         ts._rows = np.zeros(cap, dtype=TRACE_DTYPE)
         ts._rows[:n] = rows
         ts._n = n
-        tasks = header.get("tasks", [])
-        if not isinstance(tasks, list):
-            raise ValueError("sidecar header 'tasks' must be a list")
-        for i, task in enumerate(tasks):
-            col = np.full(cap, np.nan)
-            values = np.asarray(data[f"task_{i}"], dtype=np.float64)
-            if values.shape != (n,):
-                raise ValueError("sidecar task column length mismatch")
-            col[:n] = values
-            ts._task_ms[str(task)] = col
+        # One block; each task column is a contiguous row view of it.
+        columns = np.full((len(tasks), cap), np.nan)
+        columns[:, :n] = task_ms
+        ts._task_ms = {str(task): col for task, col in zip(tasks, columns)}
         return ts
 
     @staticmethod

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+from dataclasses import asdict
 from unittest import mock
 
-from repro.experiments.common import ExperimentContext, default_context
+from repro.experiments.common import (
+    ExperimentContext,
+    _sequence_blob,
+    default_context,
+)
 from repro.imaging.pipeline import PipelineConfig
 from repro.profiling import ProfileConfig, TraceSet, profile_corpus
 from repro.synthetic import CorpusSpec, generate_corpus
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 
 class TestExperimentContext:
@@ -102,6 +108,14 @@ class TestExperimentContext:
         assert tiny_context._shard_key(0, cfgs[0]) != tiny_context._shard_key(
             1, cfgs[0]
         )
+
+    def test_sequence_blob_matches_asdict(self):
+        """The field walk serializes every corpus config as ``asdict`` does."""
+        for name in workload_names():
+            configs = get_workload(name).corpus_configs(CorpusSpec())
+            assert configs
+            for cfg in configs:
+                assert _sequence_blob(cfg) == json.dumps(asdict(cfg), sort_keys=True)
 
     def test_graph_memoized(self, tiny_context):
         assert tiny_context.graph is tiny_context.graph

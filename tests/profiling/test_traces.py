@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zipfile
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -85,7 +90,15 @@ class TestPersistence:
     def test_save_writes_npz_sidecar(self, ts, tmp_path):
         path = tmp_path / "traces.json"
         ts.save(path)
-        assert (tmp_path / "traces.npz").exists()
+        sidecar = tmp_path / "traces.npz"
+        with zipfile.ZipFile(sidecar) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(sidecar) as data:
+            assert sorted(data.files) == ["header", "rows", "task_ms"]
+            header = json.loads(str(data["header"][()]))
+            assert header["format"] == "repro-traces-npz/2"
+            assert header["tasks"] == ts.tasks()
+            assert data["task_ms"].shape == (len(ts.tasks()), len(ts))
 
     def test_npz_and_json_load_paths_are_equal(self, ts, tmp_path):
         path = tmp_path / "traces.json"
@@ -118,6 +131,63 @@ class TestPersistence:
         path = tmp_path / "traces.json"
         ts.save(path)
         (tmp_path / "traces.npz").write_bytes(b"not a zipfile")
+        loaded = TraceSet.load(path)
+        assert loaded.records == ts.records
+
+    def test_load_takes_the_sidecar_path(self, ts, tmp_path):
+        """A consistent sidecar never reaches the JSON record parse."""
+        path = tmp_path / "traces.json"
+        ts.save(path)
+        with mock.patch.object(
+            TraceSet, "append", side_effect=AssertionError("JSON fallback taken")
+        ):
+            loaded = TraceSet.load(path)
+        assert loaded.records == ts.records
+
+    def test_v1_sidecar_is_ignored(self, ts, tmp_path):
+        """A ``repro-traces-npz/1`` sidecar loads through the JSON path."""
+        path = tmp_path / "traces.json"
+        ts.meta["note"] = "hello"
+        ts.save(path)
+        (tmp_path / "traces.npz").unlink()
+        slow = TraceSet.load(path)  # JSON-only
+        tasks = ts.tasks()
+        header = {
+            "format": "repro-traces-npz/1",
+            "fingerprint": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "pixel_scale": ts.pixel_scale,
+            "platform": ts.platform,
+            "workload": ts.workload,
+            "registry_version": ts.registry_version,
+            "meta": {"note": "hello"},
+            "tasks": tasks,
+        }
+        columns = {
+            f"task_{i}": np.array([r.task_ms.get(t, np.nan) for r in ts.records])
+            for i, t in enumerate(tasks)
+        }
+        np.savez_compressed(
+            tmp_path / "traces.npz",
+            header=np.asarray(json.dumps(header, sort_keys=True)),
+            rows=ts._rows[: len(ts)].copy(),
+            **columns,
+        )
+        with mock.patch.object(
+            TraceSet, "_from_arrays", side_effect=AssertionError("v1 sidecar read")
+        ):
+            loaded = TraceSet.load(path)
+        assert loaded.records == slow.records == ts.records
+        assert loaded == slow
+
+    def test_misshapen_task_matrix_falls_back_to_json(self, ts, tmp_path):
+        path = tmp_path / "traces.json"
+        ts.save(path)
+        sidecar = tmp_path / "traces.npz"
+        with np.load(sidecar) as data:
+            arrays = {k: data[k] for k in data.files}
+        # One row for two tasks: it would broadcast to both unchecked.
+        arrays["task_ms"] = arrays["task_ms"][:1]
+        np.savez(sidecar, **arrays)
         loaded = TraceSet.load(path)
         assert loaded.records == ts.records
 
