@@ -44,15 +44,18 @@ __all__ = ["ExperimentContext", "default_context", "make_pipeline"]
 #: another workload's records.  v5: a v4 shard's sidecar has the v1
 #: layout, one compressed member per task, which the loader no longer
 #: reads -- each v4 shard would load through the slow JSON fallback
-#: forever instead of re-profiling once.)
-CALIBRATION_VERSION = "v5"
+#: forever instead of re-profiling once.  v6: likewise, a v5 shard's
+#: sidecar is a ``repro-traces-npz/2`` zip, which the loader no longer
+#: reads now that the sidecar is raw bytes.)
+CALIBRATION_VERSION = "v6"
+
+_DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".cache"
 
 
 def _cache_dir() -> Path:
+    """The cache root (not created here: only a shard write makes it)."""
     root = os.environ.get("REPRO_CACHE_DIR", "")
-    path = Path(root) if root else Path(__file__).resolve().parents[3] / ".cache"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(root) if root else _DEFAULT_CACHE
 
 
 def make_pipeline(
@@ -145,17 +148,21 @@ class ExperimentContext:
             f"{pipe.reset_after_lost}"
         )
 
-    def _shard_key(self, seq_id: int, config: SequenceConfig) -> str:
+    def _shard_key(
+        self, seq_id: int, config: SequenceConfig, fingerprint: str | None = None
+    ) -> str:
         """Per-sequence shard key.
 
         The sequence index participates because execution jitter is
         keyed by ``(seq_id, frame)``: the same sequence config
         profiled at a different corpus position yields different
         times, so a shard is only reusable at its own index.
+        ``fingerprint`` is :meth:`_profile_fingerprint`, passed in by
+        callers that key a whole corpus.
         """
-        blob = (
-            f"{self._profile_fingerprint()}|{seq_id}|{_sequence_blob(config)}"
-        )
+        if fingerprint is None:
+            fingerprint = self._profile_fingerprint()
+        blob = f"{fingerprint}|{seq_id}|{_sequence_blob(config)}"
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     # -- the sharded trace cache ----------------------------------------------
@@ -164,9 +171,9 @@ class ExperimentContext:
         self, configs: list[SequenceConfig]
     ) -> list[Path]:
         shard_dir = _cache_dir() / "trace-shards"
-        shard_dir.mkdir(parents=True, exist_ok=True)
+        fingerprint = self._profile_fingerprint()
         return [
-            shard_dir / f"shard-{self._shard_key(i, cfg)}.json"
+            shard_dir / f"shard-{self._shard_key(i, cfg, fingerprint)}.json"
             for i, cfg in enumerate(configs)
         ]
 
@@ -176,6 +183,7 @@ class ExperimentContext:
         missing = [i for i, p in enumerate(paths) if not p.exists()]
         fresh: dict[int, TraceSet] = {}
         if missing:
+            paths[0].parent.mkdir(parents=True, exist_ok=True)
             computed = profile_shards(
                 [(i, configs[i]) for i in missing],
                 self.profile_config,

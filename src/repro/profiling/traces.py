@@ -19,21 +19,24 @@ during profiling.
 
 Persistence keeps the JSON file byte-identical to the historical
 format (it stays the authoritative, fingerprinted artifact); ``save``
-additionally drops an uncompressed three-member ``.npz`` sidecar
-(header, rows, task matrix), and ``load`` takes the sidecar fast path
-when its recorded SHA-256 of the JSON text matches the file on disk,
-falling back to JSON parsing whenever the sidecar is missing, stale,
-of another format version, or unreadable.
+additionally drops a raw sidecar -- one JSON header line, then the
+row bytes and the task-matrix bytes -- and ``load`` takes the sidecar
+fast path (one read, no array parser) when its recorded SHA-256 of
+the JSON text matches the file on disk, falling back to JSON parsing
+whenever the sidecar is missing, stale, truncated, of another format
+version, or unreadable.  It keeps the ``.npz`` name of the archive it
+replaced: the end-to-end benchmark unlinks it by that name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
-from zipfile import BadZipFile
 
 import numpy as np
 from numpy.typing import NDArray
@@ -87,8 +90,11 @@ TRACE_DTYPE = np.dtype(
 
 _MIN_CAPACITY = 64
 
-#: Sidecar format tag; bump when the array layout changes.
-_NPZ_FORMAT = "repro-traces-npz/2"
+#: Sidecar format tag; bump when the sidecar layout changes.
+_SIDECAR_FORMAT = "repro-traces-raw/3"
+
+#: ``TRACE_DTYPE.descr`` as the sidecar header's JSON stores it.
+_ROW_DESCR = [list(field) for field in TRACE_DTYPE.descr]
 
 
 class TraceSet:
@@ -433,75 +439,89 @@ class TraceSet:
         return meta
 
     def save(self, path: str | Path) -> None:
-        """Serialize to JSON plus a columnar ``.npz`` sidecar.
+        """Serialize to JSON plus a raw columnar sidecar.
 
         The JSON file is byte-identical to the historical format and
         stays authoritative.  The sidecar at ``path.with_suffix(".npz")``
-        is an uncompressed ``np.savez`` archive: ``header`` (provenance,
-        task list, SHA-256 of the JSON text), ``rows`` (:data:`TRACE_DTYPE`)
-        and ``task_ms`` (``(n_tasks, n)`` float64, NaN where a task did
-        not run, rows in header task order).  :meth:`load` ignores it
-        when it is stale or of another format version.
+        is one JSON header line (format tag, SHA-256 of the JSON text,
+        provenance, task list, ``n``, the row dtype's ``descr``), then
+        the :data:`TRACE_DTYPE` rows and the ``(n_tasks, n)`` float64
+        task matrix (NaN where a task did not run, rows in header task
+        order) as raw bytes.  The sidecar is written first and the JSON
+        last, each replaced atomically: an interrupted save leaves the
+        previous JSON whole beside a sidecar that is at worst stale.
         """
-        meta = self._json_meta()
-        payload = {
+        provenance = {
             "pixel_scale": self.pixel_scale,
             "platform": self.platform,
             "workload": self.workload,
             "registry_version": self.registry_version,
-            "meta": meta,
-            "records": [asdict(r) for r in self.records],
+            "meta": self._json_meta(),
         }
-        text = json.dumps(payload, sort_keys=True)
-        target = Path(path)
-        target.write_text(text)
+        records = [asdict(r) for r in self.records]
+        data = json.dumps({**provenance, "records": records}, sort_keys=True).encode()
         n = self._n
         tasks = list(self._task_ms)
         header = {
-            "format": _NPZ_FORMAT,
-            "fingerprint": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "pixel_scale": self.pixel_scale,
-            "platform": self.platform,
-            "workload": self.workload,
-            "registry_version": self.registry_version,
-            "meta": meta,
+            **provenance,
+            "format": _SIDECAR_FORMAT,
+            "fingerprint": hashlib.sha256(data).hexdigest(),
             "tasks": tasks,
+            "n": n,
+            "descr": _ROW_DESCR,
         }
-        task_ms = np.array([self._task_ms[t][:n] for t in tasks], dtype=np.float64)
-        np.savez(
-            target.with_suffix(".npz"),
-            header=np.asarray(json.dumps(header, sort_keys=True)),
-            rows=self._rows[:n],
-            task_ms=task_ms.reshape(len(tasks), n),
+        sidecar = [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"]
+        sidecar.append(self._rows[:n].tobytes())
+        sidecar.extend(self._task_ms[t][:n].tobytes() for t in tasks)
+        target = Path(path)
+        _write_atomically(target.with_suffix(".npz"), b"".join(sidecar))
+        _write_atomically(target, data)
+
+    @staticmethod
+    def _from_provenance(doc: Mapping) -> "TraceSet":
+        """An empty trace set with a saved document's provenance."""
+        return TraceSet(
+            pixel_scale=float(doc["pixel_scale"]),
+            platform=str(doc["platform"]),
+            meta=dict(doc.get("meta", {})),
+            workload=str(doc.get("workload", "")),
+            registry_version=str(doc.get("registry_version", "")),
         )
 
     @staticmethod
-    def _from_arrays(data, header: dict[str, object]) -> "TraceSet":
-        """Rebuild a trace set from sidecar arrays (fast load path)."""
-        rows = np.asarray(data["rows"])
-        if rows.dtype != TRACE_DTYPE:
-            raise ValueError("sidecar row layout mismatch")
-        n = rows.shape[0]
-        tasks = header.get("tasks", [])
-        if not isinstance(tasks, list):
-            raise ValueError("sidecar header 'tasks' must be a list")
-        task_ms = np.asarray(data["task_ms"], dtype=np.float64)
-        if task_ms.shape != (len(tasks), n):
-            raise ValueError("sidecar task matrix shape mismatch")
-        ts = TraceSet(
-            pixel_scale=float(header["pixel_scale"]),
-            platform=str(header["platform"]),
-            meta=dict(header.get("meta", {})),
-            workload=str(header.get("workload", "")),
-            registry_version=str(header.get("registry_version", "")),
-        )
+    def _from_sidecar(blob: bytes, fingerprint: str) -> "TraceSet":
+        """Rebuild a trace set from raw sidecar bytes (fast load path).
+
+        Raises ``ValueError`` unless ``blob`` is a sidecar of this
+        format, fingerprint and row layout, of exactly the length its
+        header implies (so truncation and trailing bytes both fail).
+        """
+        end = blob.find(b"\n")
+        header = json.loads(blob[:end]) if end >= 0 else None
+        if not isinstance(header, dict):
+            raise ValueError("sidecar has no header line")
+        tasks, n = header.get("tasks"), header.get("n")
+        if not (
+            header.get("format") == _SIDECAR_FORMAT
+            and header.get("fingerprint") == fingerprint
+            and header.get("descr") == _ROW_DESCR
+            and isinstance(tasks, list)
+            and isinstance(n, int)
+            and n >= 0
+        ):
+            raise ValueError("not a sidecar of this JSON text and row layout")
+        split = end + 1 + n * TRACE_DTYPE.itemsize
+        if len(blob) != split + n * len(tasks) * 8:
+            raise ValueError("sidecar length mismatch")
+        ts = TraceSet._from_provenance(header)
         cap = max(n, _MIN_CAPACITY)
         ts._rows = np.zeros(cap, dtype=TRACE_DTYPE)
-        ts._rows[:n] = rows
+        ts._rows[:n] = np.frombuffer(blob, TRACE_DTYPE, n, end + 1)
         ts._n = n
         # One block; each task column is a contiguous row view of it.
         columns = np.full((len(tasks), cap), np.nan)
-        columns[:, :n] = task_ms
+        matrix = np.frombuffer(blob, np.float64, n * len(tasks), split)
+        columns[:, :n] = matrix.reshape(len(tasks), n)
         ts._task_ms = {str(task): col for task, col in zip(tasks, columns)}
         return ts
 
@@ -509,33 +529,33 @@ class TraceSet:
     def load(path: str | Path) -> "TraceSet":
         """Inverse of :meth:`save`.
 
-        Prefers the ``.npz`` sidecar when its fingerprint matches the
-        JSON text on disk; any missing, stale, or malformed sidecar
-        falls back to parsing the (authoritative) JSON records.
+        Prefers the raw sidecar (one read, one header line, two buffer
+        views) when its fingerprint matches the JSON text on disk; a
+        missing, stale, truncated or old-format sidecar (including the
+        ``repro-traces-npz`` archives) falls back to the JSON records.
         """
         target = Path(path)
-        text = target.read_text()
-        sidecar = target.with_suffix(".npz")
-        if sidecar.exists():
-            fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            try:
-                with np.load(sidecar) as data:
-                    header = json.loads(str(data["header"][()]))
-                    if (
-                        header.get("format") == _NPZ_FORMAT
-                        and header.get("fingerprint") == fingerprint
-                    ):
-                        return TraceSet._from_arrays(data, header)
-            except (OSError, KeyError, ValueError, BadZipFile):
-                pass  # unreadable sidecar: the JSON below is authoritative
-        payload = json.loads(text)
-        ts = TraceSet(
-            pixel_scale=float(payload["pixel_scale"]),
-            platform=str(payload["platform"]),
-            meta=dict(payload.get("meta", {})),
-            workload=str(payload.get("workload", "")),
-            registry_version=str(payload.get("registry_version", "")),
-        )
+        data = target.read_bytes()
+        try:
+            return TraceSet._from_sidecar(
+                target.with_suffix(".npz").read_bytes(),
+                hashlib.sha256(data).hexdigest(),
+            )
+        except (OSError, KeyError, TypeError, ValueError):
+            pass  # no usable sidecar: the JSON below is authoritative
+        payload = json.loads(data)
+        ts = TraceSet._from_provenance(payload)
         for r in payload["records"]:
             ts.append(TraceRecord(**r))
         return ts
+
+
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Replace ``path``: readers see the old file or the new, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

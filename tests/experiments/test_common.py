@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 from repro.experiments.common import (
@@ -34,6 +35,21 @@ class TestExperimentContext:
             assert traces2.records[0] == traces1.records[0]
             # The corpus ledger survives the cache round trip.
             assert traces2.meta["ledger"].frames == len(traces2)
+
+    def test_warm_reload_reads_sidecars_and_makes_no_directory(self, tmp_path):
+        """A warm reload neither parses JSON records nor creates a directory."""
+        spec = CorpusSpec(n_sequences=2, total_frames=20, base_seed=99)
+        cache = tmp_path / "cache"
+        with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(cache)}):
+            cold = ExperimentContext(corpus_spec=spec).traces
+            with mock.patch.object(
+                TraceSet, "append", side_effect=AssertionError("JSON fallback taken")
+            ), mock.patch.object(
+                Path, "mkdir", side_effect=AssertionError("directory made")
+            ):
+                warm = ExperimentContext(corpus_spec=spec).traces
+        assert warm.records == cold.records
+        assert warm.meta["ledger"].frames == len(cold)
 
     def test_delta_reprofiling_recomputes_only_missing_shard(self, tmp_path):
         spec = CorpusSpec(n_sequences=3, total_frames=30, base_seed=99)
@@ -108,6 +124,16 @@ class TestExperimentContext:
         assert tiny_context._shard_key(0, cfgs[0]) != tiny_context._shard_key(
             1, cfgs[0]
         )
+
+    def test_shard_paths_use_the_shard_key(self, tiny_context):
+        """Keying a corpus at once names each shard by its own key."""
+        from repro.synthetic import corpus_configs
+
+        cfgs = corpus_configs(tiny_context.corpus_spec)
+        assert [p.name for p in tiny_context._shard_paths(cfgs)] == [
+            f"shard-{tiny_context._shard_key(i, cfg)}.json"
+            for i, cfg in enumerate(cfgs)
+        ]
 
     def test_sequence_blob_matches_asdict(self):
         """The field walk serializes every corpus config as ``asdict`` does."""

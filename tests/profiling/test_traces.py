@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
+import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.profiling.traces import TraceRecord, TraceSet
+from repro.profiling.traces import TRACE_DTYPE, TraceRecord, TraceSet
 
 
 def rec(seq, frame, tasks, scenario=3, roi=100.0):
@@ -88,17 +92,61 @@ class TestPersistence:
         assert loaded.records[0] == ts.records[0]
 
     def test_save_writes_npz_sidecar(self, ts, tmp_path):
+        """The raw sidecar lives at the ``.npz`` name: header line, rows, matrix."""
         path = tmp_path / "traces.json"
         ts.save(path)
-        sidecar = tmp_path / "traces.npz"
-        with zipfile.ZipFile(sidecar) as z:
-            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
-        with np.load(sidecar) as data:
-            assert sorted(data.files) == ["header", "rows", "task_ms"]
-            header = json.loads(str(data["header"][()]))
-            assert header["format"] == "repro-traces-npz/2"
-            assert header["tasks"] == ts.tasks()
-            assert data["task_ms"].shape == (len(ts.tasks()), len(ts))
+        blob = (tmp_path / "traces.npz").read_bytes()
+        line, body = blob.split(b"\n", 1)
+        header = json.loads(line)
+        assert header["format"] == "repro-traces-raw/3"
+        assert header["fingerprint"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert header["tasks"] == ts.tasks()
+        assert header["n"] == len(ts)
+        assert header["descr"] == [list(f) for f in TRACE_DTYPE.descr]
+        n_rows = len(ts) * TRACE_DTYPE.itemsize
+        assert len(body) == n_rows + 8 * len(ts.tasks()) * len(ts)
+        rows = np.frombuffer(body[:n_rows], TRACE_DTYPE)
+        np.testing.assert_array_equal(rows, ts._rows[: len(ts)])
+        matrix = np.frombuffer(body[n_rows:]).reshape(len(ts.tasks()), len(ts))
+        np.testing.assert_array_equal(matrix[1], [5.0, np.nan, 6.0, np.nan, np.nan])
+
+    def test_save_leaves_no_temporary_files(self, ts, tmp_path):
+        ts.save(tmp_path / "traces.json")
+        ts.save(tmp_path / "traces.json")  # overwrite in place
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "traces.json",
+            "traces.npz",
+        ]
+
+    @pytest.mark.parametrize("fail_at", [".json", ".npz"])
+    def test_interrupted_save_keeps_the_previous_pair(self, fail_at, ts, tmp_path):
+        """A save that dies before the JSON moves in leaves the old JSON.
+
+        The JSON moves in last, so a new sidecar beside the old JSON is
+        merely stale, and a shard whose sidecar never landed has no JSON
+        that would mark it as cached.
+        """
+        path = tmp_path / "traces.json"
+        ts.save(path)
+        other = TraceSet(pixel_scale=2.0, platform="other")
+        other.append(rec(7, 0, {"Z": 4.0}, scenario=5))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).suffix == fail_at:
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        with mock.patch.object(os, "replace", side_effect=replace):
+            with pytest.raises(OSError, match="interrupted"):
+                other.save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "traces.json",
+            "traces.npz",
+        ]
+        loaded = TraceSet.load(path)
+        assert loaded == ts
+        assert loaded.records == ts.records
 
     def test_npz_and_json_load_paths_are_equal(self, ts, tmp_path):
         path = tmp_path / "traces.json"
@@ -172,22 +220,15 @@ class TestPersistence:
             rows=ts._rows[: len(ts)].copy(),
             **columns,
         )
-        with mock.patch.object(
-            TraceSet, "_from_arrays", side_effect=AssertionError("v1 sidecar read")
-        ):
-            loaded = TraceSet.load(path)
+        loaded = TraceSet.load(path)
         assert loaded.records == slow.records == ts.records
         assert loaded == slow
 
     def test_misshapen_task_matrix_falls_back_to_json(self, ts, tmp_path):
         path = tmp_path / "traces.json"
         ts.save(path)
-        sidecar = tmp_path / "traces.npz"
-        with np.load(sidecar) as data:
-            arrays = {k: data[k] for k in data.files}
-        # One row for two tasks: it would broadcast to both unchecked.
-        arrays["task_ms"] = arrays["task_ms"][:1]
-        np.savez(sidecar, **arrays)
+        # One task listed for a two-task matrix: the byte count is off.
+        _edit_header(tmp_path / "traces.npz", tasks=ts.tasks()[:1])
         loaded = TraceSet.load(path)
         assert loaded.records == ts.records
 
@@ -204,6 +245,131 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.latencies(), ts.latencies())
         assert loaded.tasks() == ts.tasks()
         assert loaded.sequences() == ts.sequences()
+
+
+def _edit_header(sidecar, **changes):
+    """Rewrite fields of a raw sidecar's header line in place."""
+    line, body = sidecar.read_bytes().split(b"\n", 1)
+    header = {**json.loads(line), **changes}
+    sidecar.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+def _npz_v2(sidecar, ts, path):
+    """A ``repro-traces-npz/2`` archive of ``ts``, fingerprinting ``path``."""
+    tasks = ts.tasks()
+    header = {
+        "format": "repro-traces-npz/2",
+        "fingerprint": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "pixel_scale": ts.pixel_scale,
+        "platform": ts.platform,
+        "workload": ts.workload,
+        "registry_version": ts.registry_version,
+        "meta": {},
+        "tasks": tasks,
+    }
+    with open(sidecar, "wb") as f:  # np.savez would append ".npz" to a path
+        np.savez(
+            f,
+            header=np.asarray(json.dumps(header, sort_keys=True)),
+            rows=ts._rows[: len(ts)].copy(),
+            task_ms=np.array([ts._task_ms[t][: len(ts)] for t in tasks]),
+        )
+
+
+def _truncate(keep):
+    def damage(sidecar, ts, path):
+        blob = sidecar.read_bytes()
+        sidecar.write_bytes(blob[: keep(blob)])
+
+    return damage
+
+
+_SIDECAR_DAMAGE = {
+    "missing": lambda sidecar, ts, path: sidecar.unlink(),
+    "empty": _truncate(lambda blob: 0),
+    "header-only": _truncate(lambda blob: blob.index(b"\n")),
+    "header-line": _truncate(lambda blob: blob.index(b"\n") + 1),
+    "mid-rows": _truncate(lambda blob: blob.index(b"\n") + 1 + TRACE_DTYPE.itemsize),
+    "last-byte": _truncate(lambda blob: len(blob) - 1),
+    "trailing": lambda sidecar, ts, path: sidecar.write_bytes(
+        sidecar.read_bytes() + b"\0" * 8
+    ),
+    "wrong-tag": lambda sidecar, ts, path: _edit_header(
+        sidecar, format="repro-traces-raw/2"
+    ),
+    "stale-fingerprint": lambda sidecar, ts, path: _edit_header(
+        sidecar, fingerprint="0" * 64
+    ),
+    "mismatched-descr": lambda sidecar, ts, path: _edit_header(
+        sidecar, descr=[[name, ">" + code[1:]] for name, code in TRACE_DTYPE.descr]
+    ),
+    "npz-v2-zip": _npz_v2,
+}
+
+
+class TestSidecarFallback:
+    @pytest.mark.parametrize("damage", sorted(_SIDECAR_DAMAGE))
+    def test_unusable_sidecar_loads_through_json(self, damage, ts, tmp_path):
+        path = tmp_path / "traces.json"
+        ts.save(path)
+        _SIDECAR_DAMAGE[damage](tmp_path / "traces.npz", ts, path)
+        with mock.patch.object(
+            TraceSet, "append", autospec=True, side_effect=TraceSet.append
+        ) as append:
+            loaded = TraceSet.load(path)
+        assert append.call_count == len(ts)  # every record came from JSON
+        assert loaded.records == ts.records
+        assert loaded == ts
+
+
+_ints = {
+    name: st.integers(np.iinfo(TRACE_DTYPE[name]).min, np.iinfo(TRACE_DTYPE[name]).max)
+    for name in ("seq", "frame", "scenario_id", "eviction_bytes", "external_bytes")
+}
+_ms = st.floats(allow_nan=False, allow_infinity=False) | st.just(float("nan"))
+_frame = st.fixed_dictionaries(
+    {
+        **_ints,
+        "task_ms": st.dictionaries(st.sampled_from(["A", "B", "Ž", "C D"]), _ms),
+        "roi_kpixels": st.floats(allow_nan=False, allow_infinity=False),
+        "latency_ms": st.floats(allow_nan=False, allow_infinity=False),
+    }
+)
+_meta = st.dictionaries(st.text(), st.text() | st.integers() | st.lists(st.text()))
+
+
+class TestSidecarRoundTrip:
+    @given(frames=st.lists(_frame, max_size=12), meta=_meta)
+    @example(frames=[], meta={"é": "line\nbreak"})
+    @example(
+        frames=[
+            {
+                **{name: 0 for name in _ints},
+                "task_ms": {"A": float("nan"), "B": 1.5},
+                "roi_kpixels": 1.0,
+                "latency_ms": 1.5,
+            }
+        ],
+        meta={},
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sidecar_and_json_loads_agree(self, frames, meta):
+        """n = 0, NaN cells (a task with no values), non-ASCII meta."""
+        ts = TraceSet(pixel_scale=0.5, platform="Ω", meta=meta, workload="w")
+        for frame in frames:
+            ts.add_frame(**frame)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traces.json"
+            ts.save(path)
+            with mock.patch.object(
+                TraceSet, "append", side_effect=AssertionError("JSON fallback taken")
+            ):
+                fast = TraceSet.load(path)
+            (Path(tmp) / "traces.npz").unlink()
+            slow = TraceSet.load(path)
+        assert fast.records == slow.records == ts.records
+        assert fast == slow == ts
+        assert fast.tasks() == ts.tasks()
 
 
 class TestColumnarStorage:
