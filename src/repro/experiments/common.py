@@ -98,7 +98,8 @@ class ExperimentContext:
         Platform + cost-model + pipeline configuration.
     jobs:
         Worker count for profiling fan-out (``None`` -> ``REPRO_JOBS``
-        -> ``os.cpu_count()``; see :func:`repro.parallel.resolve_jobs`).
+        -> :func:`repro.parallel.available_cpus`; see
+        :func:`repro.parallel.resolve_jobs`).
     traces:
         Profiled training traces (lazily computed, shard-cached on
         disk per sequence).

@@ -9,22 +9,11 @@ profiling, held-out evaluation, benchmark sweeps -- is embarrassingly
 parallel across sequences.
 
 All process fan-out in the repository goes through
-:func:`map_sequences`: one audited entry point whose inline short-circuit at ``max_workers=1`` keeps tests, coverage
-and debuggers working on a single code path.
+:func:`map_sequences`: one audited entry point whose inline
+short-circuit at ``jobs=1`` keeps tests, coverage and debuggers
+working on a single code path.
 """
 
-from repro.parallel.pool import (
-    available_cpus,
-    get_payload,
-    map_sequences,
-    resolve_jobs,
-)
-from repro.parallel.shm import SharedArrays
+from repro.parallel.pool import available_cpus, map_sequences, resolve_jobs
 
-__all__ = [
-    "SharedArrays",
-    "available_cpus",
-    "get_payload",
-    "map_sequences",
-    "resolve_jobs",
-]
+__all__ = ["available_cpus", "map_sequences", "resolve_jobs"]

@@ -26,7 +26,7 @@ from typing import Callable, Generic, Iterable, TypeVar
 
 import repro.obs as obs
 
-__all__ = ["available_cpus", "resolve_jobs", "map_sequences", "get_payload"]
+__all__ = ["available_cpus", "resolve_jobs", "map_sequences"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -86,34 +86,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-#: Worker-process slot for the shared invariant payload (see
-#: ``map_sequences(payload=...)``); installed once per worker by the
-#: executor initializer, or around the inline loop.
-_PAYLOAD: object | None = None
-
-
-def _install_payload(payload: object | None) -> None:
-    global _PAYLOAD
-    _PAYLOAD = payload
-
-
-def get_payload() -> object:
-    """The shared payload of the current ``map_sequences`` call.
-
-    Workers call this instead of carrying large invariant state
-    (model configs, shared frame arrays) inside every pickled work
-    item; the payload is shipped *once per worker process* through the
-    executor initializer -- and when it contains
-    :class:`~repro.parallel.shm.SharedArrays` bundles, the arrays
-    cross the process boundary by segment name, not by value.
-    """
-    if _PAYLOAD is None:
-        raise RuntimeError(
-            "no shared payload installed; pass payload=... to map_sequences"
-        )
-    return _PAYLOAD
-
-
 class _ObsTask(Generic[_ItemT, _ResultT]):
     """Picklable worker wrapper that captures per-worker telemetry.
 
@@ -142,41 +114,31 @@ def map_sequences(
     worker: Callable[[_ItemT], _ResultT],
     items: Iterable[_ItemT],
     jobs: int | None = None,
-    chunksize: int | None = None,
-    payload: object | None = None,
 ) -> list[_ResultT]:
     """Apply ``worker`` to every item, fanning out across processes.
 
     Parameters
     ----------
     worker:
-        A *module-level* callable (it is pickled when a pool is used).
-        Must be a pure function of its argument (and the installed
-        payload, which is invariant) for the ordered merge to be
+        A *module-level* callable, or a :func:`functools.partial` of
+        one (it is pickled when a pool is used).  Must be a pure
+        function of its argument for the ordered merge to be
         reproducible.
     items:
-        Work items; each must be picklable when a pool is used.  With
-        a ``payload``, keep items small (indices into the payload) --
-        they are pickled per item, the payload once per worker.
+        Work items; each must be picklable when a pool is used.
     jobs:
         Worker-count request, resolved via :func:`resolve_jobs`
         (``None`` -> ``REPRO_JOBS`` -> :func:`available_cpus`).
-    chunksize:
-        Items shipped to a worker per round trip.  ``None`` auto-tunes
-        to ``max(1, len(items) // (4 * jobs))``: at least four rounds
-        per worker, amortizing dispatch overhead on fine-grained work
-        while keeping the tail balanced; coarse work (fewer items than
-        ``4 * jobs``) degrades to 1 as before.
-    payload:
-        Invariant state installed *once per worker process* through
-        the executor initializer (inline runs install it around the
-        loop).  Workers read it back with :func:`get_payload`.
 
     Returns
     -------
     Results in the same order as ``items``, whatever order the workers
     finished in.  A resolved worker count of 1 -- or a single work
-    item -- executes inline in the calling process.
+    item -- executes inline in the calling process.  A pool ships
+    ``max(1, len(items) // (4 * jobs))`` items per round trip: at
+    least four rounds per worker, amortizing dispatch overhead on
+    fine-grained work while keeping the tail balanced; coarse work
+    (fewer items than ``4 * jobs``) degrades to 1.
     """
     work = list(items)
     n_jobs = resolve_jobs(jobs)
@@ -186,19 +148,8 @@ def map_sequences(
         with o.tracer.span("parallel.map") as sp:
             if o.enabled:
                 sp.set(n_items=len(work), jobs=1)
-            if payload is None:
-                return [worker(item) for item in work]
-            _install_payload(payload)
-            try:
-                return [worker(item) for item in work]
-            finally:
-                _install_payload(None)
-    if chunksize is None:
-        chunksize = max(1, len(work) // (4 * n_jobs))
-    pool_kwargs: dict[str, object] = {}
-    if payload is not None:
-        pool_kwargs["initializer"] = _install_payload
-        pool_kwargs["initargs"] = (payload,)
+            return [worker(item) for item in work]
+    chunksize = max(1, len(work) // (4 * n_jobs))
     with o.tracer.span("parallel.map") as sp:
         if o.enabled:
             sp.set(
@@ -206,9 +157,7 @@ def map_sequences(
                 jobs=min(n_jobs, len(work)),
                 chunksize=chunksize,
             )
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(work)), **pool_kwargs
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(work))) as pool:
             # Executor.map preserves input order by construction.
             if not o.enabled:
                 return list(pool.map(worker, work, chunksize=chunksize))

@@ -11,6 +11,7 @@ parallelization decisions later scale these via the partition model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import repro.obs as obs
@@ -19,9 +20,8 @@ from repro.hw import CostModel, Mapping, PlatformSimulator, blackford
 from repro.hw.bus import BandwidthLedger
 from repro.hw.spec import PlatformSpec
 from repro.imaging.pipeline import PipelineConfig
-from repro.parallel import SharedArrays, get_payload, map_sequences
+from repro.parallel import map_sequences
 from repro.profiling.traces import TraceSet
-from repro.synthetic.phantom import Phantom
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
 from repro.workloads import DEFAULT_WORKLOAD, REGISTRY_VERSION, get_workload
 
@@ -154,70 +154,25 @@ def profile_sequence(
     return ts
 
 
-#: Phantom array layers shipped zero-copy through :class:`SharedArrays`.
-_PHANTOM_LAYERS = ("background", "vessels", "clutter", "stent", "wire")
+def _profile_one(
+    item: tuple[int, XRaySequence | SequenceConfig], config: ProfileConfig
+) -> TraceSet:
+    """Pool worker: profile one ``(seq_id, sequence)`` item.
 
-
-@dataclass(frozen=True)
-class _ShardPayload:
-    """Invariant profiling state installed once per pool worker.
-
-    The per-item pickle used to carry the whole ``(seq_id, sequence
-    config, profile config)`` triple; the profile config (and, when
-    the caller pre-built them, every phantom's rendered layers) is the
-    same for all items, so it rides the executor initializer instead
-    and the work items shrink to bare sequence ids.
+    An :class:`XRaySequence` is profiled as given; a
+    :class:`SequenceConfig` is built into one here, in the worker.
+    Each sequence gets its own simulator: per-frame jitter is keyed by
+    ``(seed, task, seq_id, frame)``, and ``simulate_frame`` under the
+    serial profiling mapping has no cross-frame state, so a private
+    per-sequence simulator yields records bit-identical to a shared
+    one.  The private simulator's ledger is attached as
+    ``meta["ledger"]`` so callers can merge corpus-wide traffic
+    accounting.
     """
-
-    profile: ProfileConfig
-    sequences: dict[int, SequenceConfig]
-    #: Shared-memory bundle of phantom layers, keyed ``"{seq}:{layer}"``
-    #: (``None``: workers rebuild phantoms from the sequence config).
-    layers: SharedArrays | None = None
-    #: Per-sequence non-array phantom fields (spec, markers, extras).
-    phantom_meta: dict[int, tuple] | None = None
-
-    def phantom(self, seq_id: int) -> Phantom | None:
-        """Reassemble a pre-built phantom from the shared layers."""
-        if self.layers is None or self.phantom_meta is None:
-            return None
-        meta = self.phantom_meta.get(seq_id)
-        if meta is None:
-            return None
-        spec, marker_a, marker_b, extras = meta
-        layers = {
-            name: self.layers.get(f"{seq_id}:{name}")
-            for name in _PHANTOM_LAYERS
-        }
-        return Phantom(
-            spec=spec,
-            marker_a=marker_a,
-            marker_b=marker_b,
-            extras=extras,
-            **layers,
-        )
-
-
-def _profile_one(seq_id: int) -> TraceSet:
-    """Pool worker: profile one sequence with its own simulator.
-
-    The sequence/profile configuration comes from the installed
-    :class:`_ShardPayload` (see :func:`repro.parallel.get_payload`),
-    so the pickled work item is just the sequence id.  Per-frame
-    jitter is keyed by ``(seed, task, seq_id, frame)``, and
-    ``simulate_frame`` under the serial profiling mapping has no
-    cross-frame state, so a private per-sequence simulator yields
-    records bit-identical to the shared-simulator serial path.  The
-    private simulator's ledger is attached as ``meta["ledger"]`` so
-    callers can merge corpus-wide traffic accounting.
-    """
-    payload = get_payload()
-    profile = payload.profile
-    sim = profile.make_simulator()
-    sequence = XRaySequence(
-        payload.sequences[seq_id], phantom=payload.phantom(seq_id)
-    )
-    ts = profile_sequence(sequence, profile, seq_id=seq_id, simulator=sim)
+    seq_id, seq = item
+    sequence = seq if isinstance(seq, XRaySequence) else XRaySequence(seq)
+    sim = config.make_simulator()
+    ts = profile_sequence(sequence, config, seq_id=seq_id, simulator=sim)
     ts.meta["ledger"] = sim.ledger
     return ts
 
@@ -226,7 +181,6 @@ def profile_shards(
     items: Sequence[tuple[int, SequenceConfig]],
     config: ProfileConfig | None = None,
     jobs: int | None = None,
-    phantoms: dict[int, Phantom] | None = None,
 ) -> list[TraceSet]:
     """Profile ``(seq_id, config)`` pairs into independent trace shards.
 
@@ -236,45 +190,9 @@ def profile_shards(
     :func:`repro.parallel.resolve_jobs`) and always returned in input
     order.  This is the unit the experiment layer's sharded trace
     cache stores and the delta it recomputes when a corpus changes.
-
-    The invariant profiling config crosses the pool seam once per
-    worker as a shared payload; when the caller already built the
-    phantoms (``phantoms``, keyed by seq_id), their layer arrays ship
-    zero-copy through one shared-memory segment and workers skip
-    ``build_phantom`` entirely -- ``build_phantom`` is a pure function
-    of the config, so the records stay bit-identical either way.
     """
     config = config or ProfileConfig()
-    sequences = dict(items)
-    layers: SharedArrays | None = None
-    phantom_meta: dict[int, tuple] | None = None
-    if phantoms:
-        arrays: dict[str, object] = {}
-        phantom_meta = {}
-        for seq_id, ph in phantoms.items():
-            if seq_id not in sequences:
-                continue
-            for name in _PHANTOM_LAYERS:
-                arrays[f"{seq_id}:{name}"] = getattr(ph, name)
-            phantom_meta[seq_id] = (ph.spec, ph.marker_a, ph.marker_b, ph.extras)
-        layers = SharedArrays.create(arrays)
-    payload = _ShardPayload(
-        profile=config,
-        sequences=sequences,
-        layers=layers,
-        phantom_meta=phantom_meta,
-    )
-    try:
-        return map_sequences(
-            _profile_one,
-            [seq_id for seq_id, _ in items],
-            jobs=jobs,
-            payload=payload,
-        )
-    finally:
-        if layers is not None:
-            layers.close()
-            layers.unlink()
+    return map_sequences(partial(_profile_one, config=config), items, jobs=jobs)
 
 
 def profile_corpus(
@@ -295,25 +213,20 @@ def profile_corpus(
         Profiling configuration (fresh default when omitted).
     jobs:
         Fan sequences out across a process pool
-        (``None`` -> ``REPRO_JOBS`` -> ``os.cpu_count()``; pass 1 to
-        force the serial path).  Sequences are independent and every
-        stochastic draw is keyed by ``(seq_id, frame)``, so the
-        parallel path merges per-sequence shards back in sequence
-        order into a trace set whose serialized form is *byte
-        identical* to the serial one.  Only the ledger's float totals
-        can differ in the last ulp (per-sequence partial sums), and
-        the ledger is never serialized.
+        (``None`` -> ``REPRO_JOBS`` -> :func:`repro.parallel.available_cpus`;
+        pass 1 to force the serial path, which profiles the caller's
+        sequences in place; a pool pickles them by value).  Sequences
+        are independent and every stochastic draw is keyed by
+        ``(seq_id, frame)``, so the parallel path merges per-sequence
+        shards back in sequence order into a trace set whose
+        serialized form is *byte identical* to the serial one.  Only
+        the ledger's float totals can differ in the last ulp
+        (per-sequence partial sums), and the ledger is never
+        serialized.
     """
     config = config or ProfileConfig()
-    shards = profile_shards(
-        [(seq_id, seq.config) for seq_id, seq in enumerate(sequences)],
-        config,
-        jobs=jobs,
-        # The caller's sequences already carry built phantoms; share
-        # their layers instead of rebuilding them in every worker.
-        phantoms={
-            seq_id: seq.phantom for seq_id, seq in enumerate(sequences)
-        },
+    shards = map_sequences(
+        partial(_profile_one, config=config), enumerate(sequences), jobs=jobs
     )
     return merge_shards(shards, config)
 

@@ -36,7 +36,6 @@ from repro.synthetic.interp import shift_linear_nearest
 from repro.synthetic.motion import MotionModel, MotionSpec, RigidOffset
 from repro.synthetic.noise import NoiseSpec, apply_xray_noise
 from repro.synthetic.phantom import (
-    Phantom,
     PhantomSpec,
     build_phantom,
     polyline_tube,
@@ -133,20 +132,10 @@ class XRaySequence:
     with identical results.
     """
 
-    def __init__(
-        self, config: SequenceConfig, phantom: Phantom | None = None
-    ) -> None:
+    def __init__(self, config: SequenceConfig) -> None:
         self.config = config
         self._marker_sigma = config.resolved_phantom().marker_sigma
-        # An injected phantom must be the pure build for this config
-        # (build_phantom is deterministic, so a caller that already
-        # built it -- e.g. a pool parent sharing layers zero-copy --
-        # hands over bit-identical arrays).
-        self.phantom: Phantom = (
-            phantom
-            if phantom is not None
-            else build_phantom(config.resolved_phantom())
-        )
+        self.phantom = build_phantom(config.resolved_phantom())
         self.motion = MotionModel(config.motion, config.n_frames, config.seed)
         self._static = np.stack(
             [self.phantom.background, self.phantom.vessels, self.phantom.clutter]

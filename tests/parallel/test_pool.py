@@ -7,12 +7,7 @@ from unittest import mock
 
 import pytest
 
-from repro.parallel import (
-    available_cpus,
-    get_payload,
-    map_sequences,
-    resolve_jobs,
-)
+from repro.parallel import available_cpus, map_sequences, resolve_jobs
 
 
 def _triple(x: int) -> int:
@@ -109,38 +104,12 @@ class TestMapSequences:
         assert map_sequences(_triple, [], jobs=4) == []
 
 
-def _tagged(i: int) -> tuple[int, str, int]:
-    payload = get_payload()
-    return (i, payload["tag"], os.getpid())
-
-
 def _spans(o, name):
     return [
         r
         for r in o.tracer.records
         if r["kind"] == "span" and r["name"] == name
     ]
-
-
-class TestSharedPayload:
-    def test_inline_install_and_teardown(self):
-        out = map_sequences(_tagged, [1, 2], jobs=1, payload={"tag": "t"})
-        assert out == [(1, "t", os.getpid()), (2, "t", os.getpid())]
-        with pytest.raises(RuntimeError, match="no shared payload"):
-            get_payload()
-
-    def test_pool_installs_once_per_worker(self):
-        out = map_sequences(
-            _tagged, list(range(6)), jobs=2, payload={"tag": "pool"}
-        )
-        assert [(i, tag) for i, tag, _ in out] == [
-            (i, "pool") for i in range(6)
-        ]
-        assert os.getpid() not in {pid for _, _, pid in out}
-
-    def test_no_payload_raises_in_worker(self):
-        with pytest.raises(RuntimeError, match="no shared payload"):
-            map_sequences(_tagged, [1, 2], jobs=1)
 
 
 class TestChunksize:
@@ -152,15 +121,6 @@ class TestChunksize:
         (map_span,) = _spans(o, "parallel.map")
         # max(1, 24 // (4 * 2)) = 3: four dispatch rounds per worker.
         assert map_span["attrs"]["chunksize"] == 3
-
-    def test_explicit_chunksize_respected(self):
-        import repro.obs as obs
-
-        with obs.observed() as o:
-            results = map_sequences(_triple, list(range(8)), jobs=2, chunksize=4)
-        assert results == [3 * x for x in range(8)]
-        (map_span,) = _spans(o, "parallel.map")
-        assert map_span["attrs"]["chunksize"] == 4
 
     def test_coarse_work_degrades_to_one(self):
         import repro.obs as obs
