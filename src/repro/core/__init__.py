@@ -7,7 +7,8 @@ Prediction models for the three C's:
   first-order Markov chain over adaptively quantized short-term
   residuals (Eq. 2, :mod:`repro.core.markov`), the linear ROI growth
   model (Eq. 3) and a scenario state table
-  (:mod:`repro.core.scenario`).
+  (:mod:`repro.core.scenario`).  The predictor kinds form one closed
+  table, :data:`~repro.core.computation.PREDICTORS`.
 * **Cache memory** (:mod:`repro.core.cachemodel`): Table 1 per-task
   requirements plus the space-time occupancy prediction of intra-task
   swap traffic (Fig. 5).
@@ -24,31 +25,27 @@ from repro.core.accuracy import AccuracyReport, prediction_accuracy
 from repro.core.bandwidth import BandwidthModel
 from repro.core.cachemodel import CacheMemoryModel, table1_rows
 from repro.core.computation import (
+    PREDICTORS,
     ComputationModel,
     ConstantPredictor,
     EwmaMarkovPredictor,
+    LastValuePredictor,
     MarkovPredictor,
     RoiLinearMarkovPredictor,
     ScenarioConditionedPredictor,
+    predictor_class,
 )
 from repro.core.markov import AdaptiveQuantizer, MarkovChain
-from repro.core.registry import (
-    PredictorBackend,
-    get_predictor,
-    register_predictor,
-    registered_kinds,
-)
 from repro.core.scenario import ScenarioTable
 from repro.core.triplec import TripleC, TripleCPrediction
 
 __all__ = [
-    "PredictorBackend",
-    "register_predictor",
-    "get_predictor",
-    "registered_kinds",
+    "PREDICTORS",
+    "predictor_class",
     "AdaptiveQuantizer",
     "MarkovChain",
     "ConstantPredictor",
+    "LastValuePredictor",
     "MarkovPredictor",
     "EwmaMarkovPredictor",
     "RoiLinearMarkovPredictor",

@@ -19,18 +19,25 @@ ZOOM        constant (12.5 ms)
 All predictors follow a strict *predict-then-observe* protocol: the
 prediction for frame ``k`` uses only measurements of frames ``< k``,
 exactly what a runtime resource manager has available.
+
+The model classes form one closed table, :data:`PREDICTORS` (kind ->
+class).  Each class carries its serialized ``tag``, its fit from
+profiling traces (``from_traces``), its JSON round-trip
+(``to_dict``/``from_dict``) and its batched walk (``walk``, see
+:class:`Walk`); :meth:`ComputationModel.fit` and
+:mod:`repro.core.serialize` dispatch through the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 import repro.obs as obs
-from repro.core.markov import MarkovChain
+from repro.core.markov import AdaptiveQuantizer, MarkovChain
 from repro.profiling.traces import TraceSet
 from repro.util.ewma import EwmaFilter, ewma
 from repro.util.quantity import Kpixels, Milliseconds
@@ -46,6 +53,13 @@ __all__ = [
     "ScenarioConditionedPredictor",
     "granularity_group",
     "predict_series_loop",
+    "Walk",
+    "PREDICTORS",
+    "predictor_class",
+    "predictor_to_dict",
+    "predictor_from_dict",
+    "chain_to_dict",
+    "chain_from_dict",
     "ComputationModel",
     "DEFAULT_PREDICTOR_KINDS",
     "PAPER_EWMA_ALPHA",
@@ -86,6 +100,8 @@ class TaskTimePredictor(Protocol):
 
     #: Human-readable model description for the Table 2(b) summary.
     kind: str
+    #: Serialized ``"type"`` tag; the class's key in :data:`PREDICTORS`.
+    tag: str
 
     def predict(self, ctx: PredictionContext) -> Milliseconds:
         """Predicted time (ms) of the task's next execution."""
@@ -95,6 +111,35 @@ class TaskTimePredictor(Protocol):
 
     def reset(self) -> None:
         """Drop online state (called at sequence boundaries)."""
+
+    def predict_series(
+        self,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64] | None = None,
+    ) -> NDArray[np.float64]:
+        """Batch walk-forward predictions (see :func:`predict_series_loop`)."""
+
+    def walk(
+        self,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64],
+        scenario_ids: NDArray[np.integer],
+    ) -> "Walk":
+        """Every prediction after each observation count (see :class:`Walk`)."""
+
+    def emit_walk_telemetry(
+        self,
+        metrics: obs.MetricsRegistry,
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],
+        seen: NDArray[np.intp],
+        weights: NDArray[np.intp],
+    ) -> None:
+        """Emit the telemetry of ``weights[i]`` ``predict`` calls made
+        after ``seen[i]`` observations of ``values`` (see :class:`Walk`)."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON document of the trained parameters (no online state)."""
 
 
 def _floor(values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -143,17 +188,136 @@ def predict_series_loop(
     return out
 
 
+class Walk:
+    """A predictor's walk-forward answers over one execution series.
+
+    After the predictor has observed the first ``j`` of the series'
+    executions (``j`` in ``0..n``), its scalar ``predict`` for a frame
+    of ROI size ``roi`` returns exactly::
+
+        max(floor, slope * roi + intercept + offsets[j])
+
+    The batched engine evaluates that expression inline.  ``values``
+    and ``roi`` are the executions the predictor itself observed and
+    ``seen[j]`` how many of them it had seen after ``j`` of the series
+    (``None``: all of them); :meth:`emit_telemetry` reads them.
+    ``groups`` holds a conditioned predictor's per-granularity walks
+    (:meth:`at`).
+    """
+
+    def __init__(
+        self,
+        predictor: "TaskTimePredictor | None",
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],
+        offsets: list[float],
+        slope: float = 0.0,
+        intercept: float = 0.0,
+        floor: float = _MIN_PREDICTION_MS,
+    ) -> None:
+        self.predictor = predictor
+        self.values = values
+        self.roi = roi
+        self.offsets = offsets
+        self.slope = slope
+        self.intercept = intercept
+        self.floor = floor
+        self.seen: NDArray[np.intp] | None = None
+        self.groups: dict[int, Walk] = {}
+
+    def at(self, scenario_id: int) -> "Walk":
+        """The walk a prediction for ``scenario_id`` reads."""
+        return self.groups.get(granularity_group(scenario_id), self)
+
+    def emit_telemetry(
+        self, metrics: obs.MetricsRegistry, calls: Mapping[int, int]
+    ) -> None:
+        """Emit what the scalar ``predict`` calls would have emitted.
+
+        ``calls[j]`` counts the calls answered from this walk after
+        ``j`` executions of the series.
+        """
+        if self.predictor is None:
+            return
+        js = np.fromiter(calls, dtype=np.intp, count=len(calls))
+        weights = np.fromiter(calls.values(), dtype=np.intp, count=len(calls))
+        self.predictor.emit_walk_telemetry(
+            metrics,
+            self.values,
+            self.roi,
+            js if self.seen is None else self.seen[js],
+            weights,
+        )
+
+
+def _count_states(
+    metrics: obs.MetricsRegistry,
+    chain: MarkovChain,
+    values: NDArray[np.float64],
+    weights: NDArray[np.intp],
+) -> None:
+    """``markov_state_total`` of ``chain.predict_next`` from each value,
+    called ``weights`` times."""
+    per_state = np.bincount(chain.quantizer.states(values), weights=weights)
+    for state in np.flatnonzero(per_state).tolist():
+        metrics.counter("markov_state_total", state=str(state)).inc(
+            int(per_state[state])
+        )
+
+
+class _ScenarioOblivious:
+    """Batched-walk defaults of a predictor that ignores the ROI size
+    and the predicted scenario."""
+
+    def walk(
+        self: TaskTimePredictor,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64],
+        scenario_ids: NDArray[np.integer],  # noqa: ARG002
+    ) -> Walk:
+        """``predict_series`` over the series padded with one value
+        (entry ``j`` never reads ``values[j:]``)."""
+        x = np.asarray(values, dtype=np.float64)
+        offsets = self.predict_series(np.append(x, 0.0))
+        return Walk(self, x, roi_kpixels, offsets.tolist())
+
+    def emit_walk_telemetry(
+        self,
+        metrics: obs.MetricsRegistry,
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],
+        seen: NDArray[np.intp],
+        weights: NDArray[np.intp],
+    ) -> None:
+        """None: these predictors emit nothing per call."""
+        return None
+
+
 @dataclass
-class ConstantPredictor:
+class ConstantPredictor(_ScenarioOblivious):
     """Fixed prediction: the training mean (Table 2b constants)."""
 
     value_ms: Milliseconds
     kind: str = "constant"
+    tag = "constant"
 
     @staticmethod
     def fit(series: Sequence[NDArray[np.float64]]) -> "ConstantPredictor":
         values = np.concatenate([np.asarray(s) for s in series])
         return ConstantPredictor(value_ms=float(values.mean()))
+
+    @staticmethod
+    def from_traces(
+        traces: TraceSet, task: str, alpha: float, online_update: bool  # noqa: ARG004
+    ) -> "ConstantPredictor":
+        return ConstantPredictor.fit(traces.task_series(task))
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"type": self.tag, "value_ms": self.value_ms}
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "ConstantPredictor":
+        return ConstantPredictor(value_ms=float(d["value_ms"]))
 
     def predict(self, ctx: PredictionContext) -> Milliseconds:
         return max(_MIN_PREDICTION_MS, self.value_ms)
@@ -175,7 +339,7 @@ class ConstantPredictor:
 
 
 @dataclass
-class LastValuePredictor:
+class LastValuePredictor(_ScenarioOblivious):
     """Naive persistence baseline: predict the last observed value.
 
     Not in the paper's Table 2(b); exists as the ablation floor every
@@ -184,12 +348,26 @@ class LastValuePredictor:
 
     fallback_ms: Milliseconds
     kind: str = "last-value"
+    tag = "last-value"
     _last: float | None = None
 
     @staticmethod
     def fit(series: Sequence[NDArray[np.float64]]) -> "LastValuePredictor":
         values = np.concatenate([np.asarray(s) for s in series])
         return LastValuePredictor(fallback_ms=float(values.mean()))
+
+    @staticmethod
+    def from_traces(
+        traces: TraceSet, task: str, alpha: float, online_update: bool  # noqa: ARG004
+    ) -> "LastValuePredictor":
+        return LastValuePredictor.fit(traces.task_series(task))
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"type": self.tag, "fallback_ms": self.fallback_ms}
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "LastValuePredictor":
+        return LastValuePredictor(fallback_ms=float(d["fallback_ms"]))
 
     def predict(self, ctx: PredictionContext) -> Milliseconds:  # noqa: ARG002
         value = self.fallback_ms if self._last is None else self._last
@@ -216,7 +394,7 @@ class LastValuePredictor:
         self._last = None
 
 
-class MarkovPredictor:
+class MarkovPredictor(_ScenarioOblivious):
     """Pure first-order Markov prediction on raw task times.
 
     The memoryless model the paper applies where the autocorrelation
@@ -225,6 +403,7 @@ class MarkovPredictor:
     """
 
     kind = "Markov"
+    tag = "markov"
 
     def __init__(self, chain: MarkovChain, online_update: bool = False) -> None:
         self.chain = chain
@@ -237,6 +416,25 @@ class MarkovPredictor:
         series: Sequence[NDArray[np.float64]], online_update: bool = False
     ) -> "MarkovPredictor":
         return MarkovPredictor(MarkovChain.fit(series), online_update)
+
+    @staticmethod
+    def from_traces(
+        traces: TraceSet, task: str, alpha: float, online_update: bool  # noqa: ARG004
+    ) -> "MarkovPredictor":
+        return MarkovPredictor.fit(traces.task_series(task), online_update)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "type": self.tag,
+            "chain": chain_to_dict(self.chain),
+            "online_update": self.online_update,
+        }
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "MarkovPredictor":
+        return MarkovPredictor(
+            chain_from_dict(d["chain"]), online_update=bool(d["online_update"])
+        )
 
     def predict(self, ctx: PredictionContext) -> Milliseconds:  # noqa: ARG002
         if self._last is None:
@@ -262,6 +460,19 @@ class MarkovPredictor:
         out[1:] = _chain_walk(self.chain, x[:-1], self.online_update)
         return _floor(out)
 
+    def emit_walk_telemetry(
+        self,
+        metrics: obs.MetricsRegistry,
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],  # noqa: ARG002
+        seen: NDArray[np.intp],
+        weights: NDArray[np.intp],
+    ) -> None:
+        """Each call past the first observation predicts from the
+        latest value's state (``markov_state_total``)."""
+        warm = seen >= 1
+        _count_states(metrics, self.chain, values[seen[warm] - 1], weights[warm])
+
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:  # noqa: ARG002
         if self.online_update and self._last is not None:
             self.chain.observe_transition(self._last, ms)
@@ -271,7 +482,7 @@ class MarkovPredictor:
         self._last = None
 
 
-class EwmaMarkovPredictor:
+class EwmaMarkovPredictor(_ScenarioOblivious):
     """Eq. 1 long-term tracking + Markov chain on the residual.
 
     "To model the computation time for the current video frame, the
@@ -286,6 +497,7 @@ class EwmaMarkovPredictor:
     """
 
     kind = "<Eq. 1> + Markov"
+    tag = "ewma+markov"
     #: Task label for telemetry; stamped by :meth:`ComputationModel.fit`.
     task = ""
 
@@ -347,6 +559,32 @@ class EwmaMarkovPredictor:
             online_update=online_update,
         )
 
+    @staticmethod
+    def from_traces(
+        traces: TraceSet, task: str, alpha: float, online_update: bool
+    ) -> "EwmaMarkovPredictor":
+        return EwmaMarkovPredictor.fit(
+            traces.task_series(task), alpha=alpha, online_update=online_update
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "type": self.tag,
+            "chain": chain_to_dict(self.chain),
+            "alpha": self.alpha,
+            "fallback_ms": self.fallback_ms,
+            "online_update": self.online_update,
+        }
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "EwmaMarkovPredictor":
+        return EwmaMarkovPredictor(
+            chain_from_dict(d["chain"]),
+            alpha=float(d["alpha"]),
+            fallback_ms=float(d["fallback_ms"]),
+            online_update=bool(d["online_update"]),
+        )
+
     def predict(self, ctx: PredictionContext) -> Milliseconds:  # noqa: ARG002
         if self._ewma.value is None:
             return max(_MIN_PREDICTION_MS, self._fallback)
@@ -395,6 +633,33 @@ class EwmaMarkovPredictor:
             )
         return _floor(out)
 
+    def emit_walk_telemetry(
+        self,
+        metrics: obs.MetricsRegistry,
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],  # noqa: ARG002
+        seen: NDArray[np.intp],
+        weights: NDArray[np.intp],
+    ) -> None:
+        """Each call past the warm-up (an EWMA state and a first
+        residual) counts the latest residual's state and observes the
+        long-term (EWMA) and short-term (Markov) components; an online
+        chain answers as it stood after ``seen`` observations."""
+        warm = seen >= 2
+        if not warm.any():
+            return
+        last, weights = seen[warm] - 1, weights[warm]
+        lpf = ewma(values, self.alpha)
+        residuals = values[1:] - lpf[:-1]
+        _count_states(metrics, self.chain, residuals[last - 1], weights)
+        short = _chain_walk(self.chain, residuals, self.online_update)[last - 1]
+        metrics.histogram(
+            "predict_ewma_component_ms", task=self.task
+        ).observe_many(np.repeat(lpf[last], weights).tolist())
+        metrics.histogram(
+            "predict_markov_component_ms", task=self.task
+        ).observe_many(np.repeat(short, weights).tolist())
+
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:  # noqa: ARG002
         if self._ewma.value is not None:
             residual = float(ms) - self._ewma.peek()
@@ -420,6 +685,7 @@ class RoiLinearMarkovPredictor:
     """
 
     kind = "<Eq. 3> + Markov"
+    tag = "roi+markov"
 
     def __init__(
         self,
@@ -464,6 +730,30 @@ class RoiLinearMarkovPredictor:
             float(slope), float(intercept), chain, online_update
         )
 
+    @staticmethod
+    def from_traces(
+        traces: TraceSet, task: str, alpha: float, online_update: bool  # noqa: ARG004
+    ) -> "RoiLinearMarkovPredictor":
+        return RoiLinearMarkovPredictor.fit(traces.roi_series(task), online_update)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "type": self.tag,
+            "chain": chain_to_dict(self.chain),
+            "slope": self.slope,
+            "intercept": self.intercept,
+            "online_update": self.online_update,
+        }
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "RoiLinearMarkovPredictor":
+        return RoiLinearMarkovPredictor(
+            float(d["slope"]),
+            float(d["intercept"]),
+            chain_from_dict(d["chain"]),
+            online_update=bool(d["online_update"]),
+        )
+
     def growth(self, roi_kpixels: Kpixels) -> Milliseconds:
         """The Eq. 3 linear term for a given ROI size."""
         return self.slope * float(roi_kpixels) + self.intercept
@@ -497,6 +787,36 @@ class RoiLinearMarkovPredictor:
         )
         return _floor(out)
 
+    def walk(
+        self,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64],
+        scenario_ids: NDArray[np.integer],  # noqa: ARG002
+    ) -> Walk:
+        """The Eq. 3 term is the frame's own; the Markov correction
+        after ``j`` observations is the chain's answer from residual
+        ``j - 1`` (none before the first)."""
+        x = np.asarray(values, dtype=np.float64)
+        roi = np.asarray(roi_kpixels, dtype=np.float64)
+        corr = _chain_walk(
+            self.chain, x - (self.slope * roi + self.intercept), self.online_update
+        )
+        return Walk(self, x, roi, [0.0, *corr.tolist()], self.slope, self.intercept)
+
+    def emit_walk_telemetry(
+        self,
+        metrics: obs.MetricsRegistry,
+        values: NDArray[np.float64],
+        roi: NDArray[np.float64],
+        seen: NDArray[np.intp],
+        weights: NDArray[np.intp],
+    ) -> None:
+        """Each call past the first observation predicts from the
+        latest residual's state (``markov_state_total``)."""
+        warm = seen >= 1
+        residuals = values - (self.slope * roi + self.intercept)
+        _count_states(metrics, self.chain, residuals[seen[warm] - 1], weights[warm])
+
     def observe(self, ms: Milliseconds, ctx: PredictionContext) -> None:
         residual = float(ms) - self.growth(ctx.roi_kpixels)
         if self.online_update and self._last_residual is not None:
@@ -507,8 +827,9 @@ class RoiLinearMarkovPredictor:
         self._last_residual = None
 
 
-def granularity_group(scenario_id: int) -> int:
-    """The ROI-mode bit of a scenario id (0 = full frame, 1 = ROI).
+def granularity_group(scenario_id: Any) -> Any:
+    """The ROI-mode bit of a scenario id (0 = full frame, 1 = ROI);
+    elementwise over an integer array.
 
     This is the *predictable* part of the switch state: the frame's
     processing granularity is pipeline state fixed by the previous
@@ -516,7 +837,7 @@ def granularity_group(scenario_id: int) -> int:
     (unlike the RDG and registration bits, which the content decides
     during the frame).
     """
-    return (int(scenario_id) >> 1) & 1
+    return (scenario_id >> 1) & 1
 
 
 class ScenarioConditionedPredictor:
@@ -530,6 +851,8 @@ class ScenarioConditionedPredictor:
     context carries no scenario or a group never appeared in
     training.
     """
+
+    tag = "scenario-conditioned"
 
     def __init__(
         self,
@@ -567,6 +890,22 @@ class ScenarioConditionedPredictor:
         )
         return ScenarioConditionedPredictor(inner, pooled)
 
+    from_traces = fit
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "type": self.tag,
+            "inner": {str(k): predictor_to_dict(v) for k, v in self.inner.items()},
+            "pooled": predictor_to_dict(self.pooled),
+        }
+
+    @staticmethod
+    def from_dict(d: Mapping[str, Any]) -> "ScenarioConditionedPredictor":
+        return ScenarioConditionedPredictor(
+            inner={int(k): predictor_from_dict(v) for k, v in d["inner"].items()},
+            pooled=predictor_from_dict(d["pooled"]),
+        )
+
     def _select(self, ctx: PredictionContext) -> TaskTimePredictor:
         if ctx.scenario_id is None:
             return self.pooled
@@ -587,6 +926,103 @@ class ScenarioConditionedPredictor:
         for p in self.inner.values():
             p.reset()
         self.pooled.reset()
+
+    def predict_series(
+        self,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64] | None = None,
+    ) -> NDArray[np.float64]:
+        """Batch walk-forward predictions (see :func:`predict_series_loop`).
+
+        A context without a scenario reads and feeds only the pooled
+        predictor.
+        """
+        return self.pooled.predict_series(values, roi_kpixels)
+
+    def walk(
+        self,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64],
+        scenario_ids: NDArray[np.integer],
+    ) -> Walk:
+        """The pooled walk, with one walk per inner predictor.
+
+        Each execution feeds the inner predictor of its *observed*
+        granularity group and the pooled one, so ``inner[g]`` walks the
+        sub-series observed in group ``g`` and ``pooled`` the whole
+        series.  A prediction for scenario ``s`` after ``j``
+        executions reads ``inner[group(s)]`` at the number of group
+        executions among the first ``j``, and ``pooled`` at ``j``
+        where ``group(s)`` has no inner predictor (:meth:`Walk.at`).
+        """
+        x = np.asarray(values, dtype=np.float64)
+        roi = np.asarray(roi_kpixels, dtype=np.float64)
+        sids = np.asarray(scenario_ids)
+        walk = self.pooled.walk(x, roi, sids)
+        groups = granularity_group(sids)
+        for g, p in self.inner.items():
+            in_group = groups == g
+            inner = p.walk(x[in_group], roi[in_group], sids[in_group])
+            inner.seen = np.concatenate(([0], np.cumsum(in_group)))
+            inner.offsets = np.asarray(inner.offsets)[inner.seen].tolist()
+            walk.groups[g] = inner
+        return walk
+
+
+#: The closed set of predictor kinds: kind (= serialized ``"type"``
+#: tag) -> class.
+PREDICTORS: Mapping[str, type] = {
+    ConstantPredictor.tag: ConstantPredictor,
+    LastValuePredictor.tag: LastValuePredictor,
+    MarkovPredictor.tag: MarkovPredictor,
+    EwmaMarkovPredictor.tag: EwmaMarkovPredictor,
+    RoiLinearMarkovPredictor.tag: RoiLinearMarkovPredictor,
+    ScenarioConditionedPredictor.tag: ScenarioConditionedPredictor,
+}
+
+
+def predictor_class(kind: str) -> Any:
+    """The predictor class of ``kind``; unknown kinds raise ``ValueError``."""
+    try:
+        return PREDICTORS[kind]
+    except KeyError:
+        raise ValueError(f"unknown predictor kind {kind!r}") from None
+
+
+def predictor_to_dict(p: TaskTimePredictor) -> dict[str, Any]:
+    """Serialize a trained predictor of one of the table's classes."""
+    if type(p) not in PREDICTORS.values():
+        raise TypeError(f"cannot serialize predictor of type {type(p).__name__}")
+    return p.to_dict()
+
+
+def predictor_from_dict(d: Mapping[str, Any]) -> TaskTimePredictor:
+    """Rebuild a predictor from its serialized document."""
+    p: TaskTimePredictor = predictor_class(d["type"]).from_dict(d)
+    return p
+
+
+def chain_to_dict(chain: MarkovChain) -> dict[str, Any]:
+    """Serialize a fitted Markov chain to plain JSON types."""
+    return {
+        "edges": chain.quantizer.edges.tolist(),
+        "centers": chain.quantizer.centers.tolist(),
+        "transition": chain.transition.tolist(),
+        "counts": chain.counts.tolist(),
+    }
+
+
+def chain_from_dict(d: Mapping[str, Any]) -> MarkovChain:
+    """Inverse of :func:`chain_to_dict`."""
+    q = AdaptiveQuantizer(
+        edges=np.asarray(d["edges"], dtype=np.float64),
+        centers=np.asarray(d["centers"], dtype=np.float64),
+    )
+    return MarkovChain(
+        q,
+        np.asarray(d["transition"], dtype=np.float64),
+        np.asarray(d["counts"], dtype=np.float64),
+    )
 
 
 #: Which model class each task trains with (Table 2b).
@@ -625,16 +1061,10 @@ class ComputationModel:
     ) -> "ComputationModel":
         """Train every task's predictor from profiling traces.
 
-        Kind strings resolve through the predictor registry
-        (:mod:`repro.core.registry`), so externally registered
-        backends participate on equal footing with the built-ins.
-        Tasks appearing in the traces but not in ``predictor_kinds``
-        fall back to a constant model.
+        Kind strings resolve through :data:`PREDICTORS`; tasks
+        appearing in the traces but not in ``predictor_kinds`` fall
+        back to a constant model.
         """
-        # Local import: the registry module imports the predictor
-        # classes from this module at load time.
-        from repro.core.registry import get_predictor
-
         kinds = dict(DEFAULT_PREDICTOR_KINDS)
         if predictor_kinds:
             kinds.update(predictor_kinds)
@@ -646,8 +1076,8 @@ class ComputationModel:
             model.train_mean_ms[task] = float(
                 np.concatenate([np.asarray(s) for s in series]).mean()
             )
-            backend = get_predictor(kinds.get(task, "constant"))
-            model.predictors[task] = backend.fit(
+            cls = predictor_class(kinds.get(task, "constant"))
+            model.predictors[task] = cls.from_traces(
                 traces, task, alpha=alpha, online_update=online_update
             )
         for task, p in model.predictors.items():
@@ -680,19 +1110,28 @@ class ComputationModel:
         values: NDArray[np.float64],
         roi_kpixels: NDArray[np.float64] | None = None,
     ) -> NDArray[np.float64]:
-        """Batch walk-forward predictions of one task over a series.
-
-        Uses the predictor's vectorized ``predict_series`` when it has
-        one, and the scalar reference loop otherwise -- both reproduce
-        the predict-then-observe protocol from reset state.
-        """
+        """Batch walk-forward predictions of one task over a series
+        (the predict-then-observe protocol from reset state)."""
         p = self.predictors.get(task)
         if p is None:
             return np.zeros(np.asarray(values).size, dtype=np.float64)
-        batch = getattr(p, "predict_series", None)
-        if batch is not None:
-            return np.asarray(batch(values, roi_kpixels), dtype=np.float64)
-        return predict_series_loop(p, values, roi_kpixels)
+        return p.predict_series(values, roi_kpixels)
+
+    def walk(
+        self,
+        task: str,
+        values: NDArray[np.float64],
+        roi_kpixels: NDArray[np.float64],
+        scenario_ids: NDArray[np.integer],
+    ) -> Walk:
+        """The batched walk of one task over its executions' measured
+        times, planning ROI sizes and observed scenario ids (see
+        :class:`Walk`).  An untrained task predicts 0 throughout."""
+        p = self.predictors.get(task)
+        if p is None:
+            zeros = [0.0] * (np.asarray(values).size + 1)
+            return Walk(None, values, roi_kpixels, zeros, floor=0.0)
+        return p.walk(values, roi_kpixels, scenario_ids)
 
     def observe_frame(
         self, task_ms: Mapping[str, float], ctx: PredictionContext

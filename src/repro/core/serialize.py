@@ -8,8 +8,8 @@ residuals, current scenario) is deliberately *not* persisted -- it is
 per-sequence state that ``start_sequence`` initializes.
 
 Predictor documents are produced and consumed by the predictor
-registry (:mod:`repro.core.registry`); this module owns only the
-envelope.
+table (:data:`repro.core.computation.PREDICTORS`); this module owns
+only the envelope.
 
 Format: ``{format_version, graph, platform, rate_hz, predictors,
 train_mean_ms, scenario_counts}`` at version 2, the only version the
@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from repro.core.computation import ComputationModel
-from repro.core.markov import MarkovChain
-from repro.core.registry import (
-    chain_from_dict,
-    chain_to_dict,
+from repro.core.computation import (
+    ComputationModel,
     predictor_from_dict,
     predictor_to_dict,
 )
@@ -43,22 +39,6 @@ from repro.workloads import get_workload
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 2
-
-
-def _chain_to_dict(chain: MarkovChain) -> dict[str, Any]:
-    return chain_to_dict(chain)
-
-
-def _chain_from_dict(d: dict[str, Any]) -> MarkovChain:
-    return chain_from_dict(d)
-
-
-def _predictor_to_dict(p: Any) -> dict[str, Any]:
-    return predictor_to_dict(p)
-
-
-def _predictor_from_dict(d: dict[str, Any]) -> Any:
-    return predictor_from_dict(d)
 
 
 def _infer_workload(model: TripleC) -> str:

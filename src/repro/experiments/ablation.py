@@ -39,7 +39,6 @@ from repro.core.computation import (
     MarkovPredictor,
     PredictionContext,
     TaskTimePredictor,
-    predict_series_loop,
 )
 from repro.core.markov import AdaptiveQuantizer, MarkovChain, MarkovChain2
 from repro.experiments.common import ExperimentContext, make_pipeline
@@ -81,7 +80,7 @@ def held_out_traces(ctx: ExperimentContext, n_sequences: int = 6) -> TraceSet:
 
 
 def walk_forward_accuracy(
-    predictor: TaskTimePredictor,
+    predictor: TaskTimePredictor | Order2Predictor,
     test_series: Sequence[NDArray[np.float64]],
     warmup: int = 2,
 ) -> AccuracyReport:
@@ -91,15 +90,11 @@ def walk_forward_accuracy(
     and the first ``warmup`` frames of each series are excluded from
     scoring (state fill-in).
     """
-    batch = getattr(predictor, "predict_series", None)
     pred_parts: list[NDArray[np.float64]] = []
     actual_parts: list[NDArray[np.float64]] = []
     for series in test_series:
         x = np.asarray(series, dtype=np.float64)
-        if batch is not None:
-            p = np.asarray(batch(x), dtype=np.float64)
-        else:
-            p = predict_series_loop(predictor, x)
+        p = predictor.predict_series(x)
         pred_parts.append(p[warmup:])
         actual_parts.append(x[warmup:])
     preds = np.concatenate(pred_parts) if pred_parts else np.empty(0)

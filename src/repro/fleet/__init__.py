@@ -5,8 +5,8 @@ it onto one 8-core platform; this package stress-tests that predictor
 at the scale the ROADMAP's north star demands.  An event-driven
 simulator places thousands of concurrent StentBoost-like jobs from a
 trace-replay corpus onto a heterogeneous fleet of platform nodes,
-with per-job runtime estimates flowing from the
-:mod:`repro.core.registry` predictor backends into EASY-style
+with per-job runtime estimates flowing from the paper's
+EWMA+Markov predictor (:mod:`repro.core.computation`) into EASY-style
 backfill and predictive admission control with per-tenant QoS tiers.
 
 Modules

@@ -10,11 +10,11 @@ space the ROADMAP's fleet item calls for:
     smaller than they are and less work fits into them.
 ``triplec``
     The paper's EWMA+Markov predictor, one per application class,
-    fitted on a warmup prefix of the trace through the
-    :func:`repro.core.registry.fit_series_predictor` estimate
-    adapter and updated online from completions (predict at submit,
-    observe at finish -- the Section 6 feedback loop lifted from
-    frames to jobs).
+    fitted on a warmup prefix of the trace
+    (:meth:`~repro.core.computation.EwmaMarkovPredictor.fit` on the
+    class's runtime series) and updated online from completions
+    (predict at submit, observe at finish -- the Section 6 feedback
+    loop lifted from frames to jobs).
 ``oracle``
     The true runtime from the trace: the upper bound on what any
     predictor could buy.
@@ -26,8 +26,12 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.computation import PredictionContext, TaskTimePredictor
-from repro.core.registry import fit_series_predictor
+from repro.core.computation import (
+    PAPER_EWMA_ALPHA,
+    EwmaMarkovPredictor,
+    PredictionContext,
+    TaskTimePredictor,
+)
 from repro.fleet.jobs import JobRecord, arrival_key
 
 __all__ = [
@@ -80,7 +84,7 @@ class OracleEstimator:
 class TripleCEstimator:
     """EWMA+Markov per-app runtime prediction with online feedback.
 
-    One registry-fitted predictor per application class.  Estimates
+    One online-updating predictor per application class.  Estimates
     are floored at 1 ms and capped at the declared limit (a predictor
     may never promise more than the walltime the scheduler would
     enforce).  Classes absent from the warmup fall back to the
@@ -89,22 +93,13 @@ class TripleCEstimator:
 
     name = "triplec"
 
-    def __init__(
-        self,
-        predictors: Mapping[str, TaskTimePredictor],
-        kind: str = "ewma+markov",
-    ) -> None:
+    def __init__(self, predictors: Mapping[str, TaskTimePredictor]) -> None:
         self._predictors = dict(predictors)
         self._ctx = PredictionContext()
-        self.kind = kind
 
     @classmethod
     def from_trace(
-        cls,
-        jobs: Sequence[JobRecord],
-        warmup_per_app: int = 40,
-        kind: str = "ewma+markov",
-        alpha: float = 0.3,
+        cls, jobs: Sequence[JobRecord], warmup_per_app: int = 40
     ) -> "TripleCEstimator":
         """Fit per-app predictors from each class's warmup prefix.
 
@@ -118,15 +113,15 @@ class TripleCEstimator:
             bucket = series.setdefault(job.app, [])
             if len(bucket) < warmup_per_app:
                 bucket.append(job.runtime_ms)
-        predictors: dict[str, TaskTimePredictor] = {}
-        for app, values in sorted(series.items()):
-            predictors[app] = fit_series_predictor(
-                kind,
-                np.asarray(values, dtype=np.float64),
-                alpha=alpha,
+        predictors: dict[str, TaskTimePredictor] = {
+            app: EwmaMarkovPredictor.fit(
+                [np.asarray(values, dtype=np.float64)],
+                alpha=PAPER_EWMA_ALPHA,
                 online_update=True,
             )
-        return cls(predictors, kind=kind)
+            for app, values in sorted(series.items())
+        }
+        return cls(predictors)
 
     def estimate_ms(self, job: JobRecord) -> float:
         predictor = self._predictors.get(job.app)

@@ -33,7 +33,6 @@ from repro.runtime.batchplan import (
     BatchCosts,
     BatchPlans,
     collect_batch_costs,
-    model_batchable,
     replay_observes,
     walk_scenario_predictions,
 )
@@ -385,10 +384,9 @@ class FrameEngine:
         :class:`~repro.runtime.tape.FrameTape` and advances the whole
         sequence through the policy's vectorized batch steps --
         bit-identical to the scalar loop, several times faster.  Only
-        configurations the batch walk cannot reproduce (a quality
-        controller, or a predictor outside the built-ins; see
-        :func:`model_batchable`) run the scalar loop; results and
-        telemetry are the same either way.
+        a managed run with a quality controller, which the batch walk
+        cannot reproduce, takes the scalar loop; results and telemetry
+        are the same either way.
         """
         if self.policy.supports_batch():
             tape = record_tape(
@@ -834,14 +832,10 @@ class TripleCPolicy:
         )
 
     def supports_batch(self) -> bool:
-        """Batchable when every prediction decomposes exactly.
-
-        Quality control reacts to each frame's decision by mutating
-        the live pipeline, which a recorded tape cannot honor.
-        """
-        return self.quality_controller is None and model_batchable(
-            self.triplec.computation
-        )
+        """Batchable without quality control, which reacts to each
+        frame's decision by mutating the live pipeline -- something a
+        recorded tape cannot honor."""
+        return self.quality_controller is None
 
     def plan_frames(
         self, engine: FrameEngine, tape: FrameTape, costs: BatchCosts
@@ -939,7 +933,7 @@ class StaticSerialPolicy:
             )
 
     def supports_batch(self) -> bool:
-        return self.model is None or model_batchable(self.model.computation)
+        return True
 
     def plan_frames(
         self, engine: FrameEngine, tape: FrameTape, costs: BatchCosts

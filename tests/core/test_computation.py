@@ -6,8 +6,11 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.computation import (
+    PREDICTORS,
     ComputationModel,
     ConstantPredictor,
     EwmaMarkovPredictor,
@@ -15,7 +18,9 @@ from repro.core.computation import (
     PredictionContext,
     RoiLinearMarkovPredictor,
     predict_series_loop,
+    predictor_to_dict,
 )
+from repro.profiling.traces import TraceRecord, TraceSet
 
 CTX = PredictionContext(roi_kpixels=100.0)
 
@@ -305,3 +310,77 @@ class TestPredictSeries:
         model = ComputationModel.fit(traces)
         out = model.predict_task_series("UNKNOWN", np.ones(5))
         np.testing.assert_array_equal(out, np.zeros(5))
+
+
+def _walk_training_traces() -> TraceSet:
+    """One task whose time grows with the ROI and steps with the
+    granularity group, over random scenarios."""
+    rng = np.random.default_rng(5)
+    ts = TraceSet()
+    for k in range(160):
+        sid = int(rng.integers(0, 8))
+        roi = float(rng.uniform(20.0, 400.0))
+        ms = 0.02 * roi + 1.0 + 4.0 * ((sid >> 1) & 1) + rng.gamma(2.0, 0.4)
+        ts.append(
+            TraceRecord(
+                seq=k // 40,
+                frame=k,
+                scenario_id=sid,
+                task_ms={"X": float(ms)},
+                roi_kpixels=roi,
+                latency_ms=float(ms),
+                eviction_bytes=0,
+                external_bytes=0,
+            )
+        )
+    return ts
+
+
+_WALK_TRAIN = _walk_training_traces()
+
+
+class TestWalk:
+    """Every kind's batched walk is its scalar predict/observe loop."""
+
+    @pytest.mark.parametrize("online_update", [False, True])
+    @pytest.mark.parametrize("kind", sorted(PREDICTORS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 60),
+        untrained=st.sampled_from([(), (0,), (1,)]),
+    )
+    def test_walk_equals_scalar_loop(self, kind, online_update, seed, n, untrained):
+        fitted = PREDICTORS[kind].from_traces(
+            _WALK_TRAIN, "X", alpha=0.3, online_update=online_update
+        )
+        for group in untrained:
+            # A granularity group that never trained (scenario-
+            # conditioned kind only) answers from the pooled predictor.
+            getattr(fitted, "inner", {}).pop(group, None)
+        rng = np.random.default_rng(seed)
+        values = rng.gamma(1.5, 3.0, n) + rng.choice([0.0, 8.0], n)
+        roi = rng.uniform(0.0, 500.0, n + 1)
+        predicted = rng.integers(0, 8, n + 1)
+        observed = rng.integers(0, 8, n)
+
+        p = copy.deepcopy(fitted)
+        want = []
+        for k in range(n + 1):
+            ctx = PredictionContext(float(roi[k]), int(predicted[k]))
+            want.append(p.predict(ctx))
+            if k < n:
+                seen = PredictionContext(float(roi[k]), int(observed[k]))
+                p.observe(float(values[k]), seen)
+
+        p = copy.deepcopy(fitted)
+        walk = p.walk(values, roi[:n], observed)
+        got = []
+        for k in range(n + 1):
+            w = walk.at(int(predicted[k]))
+            got.append(
+                max(w.floor, w.slope * float(roi[k]) + w.intercept + w.offsets[k])
+            )
+        assert got == want
+        # The walk answers from copies: the predictor is untouched.
+        assert predictor_to_dict(p) == predictor_to_dict(fitted)

@@ -109,7 +109,7 @@ class TestComputationModelIntegration:
     def test_fit_kind(self):
         traces = synthetic_traces()
         model = ComputationModel.fit(
-            traces, predictor_kinds={"X": "scenario+ewma+markov"}
+            traces, predictor_kinds={"X": "scenario-conditioned"}
         )
         assert "per-granularity" in dict(model.summary())["X"]
         out = model.predict_tasks(["X"], PredictionContext(scenario_id=7))

@@ -1,4 +1,4 @@
-"""Tests for the predictor-backend registry."""
+"""Tests for the closed predictor table (``PREDICTORS``)."""
 
 from __future__ import annotations
 
@@ -6,43 +6,32 @@ import numpy as np
 import pytest
 
 from repro.core.computation import (
+    PREDICTORS,
     ComputationModel,
     ConstantPredictor,
     EwmaMarkovPredictor,
-    PredictionContext,
-    ScenarioConditionedPredictor,
-)
-from repro.core.registry import (
-    PredictorBackend,
-    get_predictor,
-    predictor_from_dict,
+    predictor_class,
     predictor_to_dict,
-    register_predictor,
-    registered_kinds,
 )
 
 
 class TestLookup:
     def test_builtin_kinds_registered(self):
-        kinds = registered_kinds()
-        for k in (
+        assert set(PREDICTORS) == {
             "constant",
             "last-value",
             "markov",
             "ewma+markov",
             "roi+markov",
             "scenario-conditioned",
-        ):
-            assert k in kinds
-
-    def test_alias_resolves_to_same_backend(self):
-        canonical = get_predictor("scenario-conditioned")
-        assert get_predictor("scenario+ewma+markov") is canonical
-        assert canonical.cls is ScenarioConditionedPredictor
+        }
+        # The kind is the serialized tag its class writes.
+        for kind, cls in PREDICTORS.items():
+            assert cls.tag == kind
 
     def test_unknown_kind_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown predictor kind"):
-            get_predictor("wizard")
+            predictor_class("wizard")
 
     def test_unknown_kind_rejected_at_fit(self, traces):
         with pytest.raises(ValueError, match="unknown predictor kind"):
@@ -51,14 +40,16 @@ class TestLookup:
 
 class TestBackendFit:
     def test_fit_matches_direct_class_fit(self, traces):
-        backend = get_predictor("constant")
-        p = backend.fit(traces, "REG", alpha=0.3, online_update=False)
+        p = predictor_class("constant").from_traces(
+            traces, "REG", alpha=0.3, online_update=False
+        )
         q = ConstantPredictor.fit(traces.task_series("REG"))
         assert p.value_ms == q.value_ms
 
     def test_ewma_markov_fit_threads_options(self, traces):
-        backend = get_predictor("ewma+markov")
-        p = backend.fit(traces, "RDG_FULL", alpha=0.5, online_update=True)
+        p = predictor_class("ewma+markov").from_traces(
+            traces, "RDG_FULL", alpha=0.5, online_update=True
+        )
         assert isinstance(p, EwmaMarkovPredictor)
         assert p.alpha == 0.5
         assert p.online_update is True
@@ -71,42 +62,6 @@ class TestBackendFit:
 
 
 class TestCustomBackend:
-    def test_registered_backend_usable_end_to_end(self, traces):
-        class MedianPredictor:
-            kind = "median"
-
-            def __init__(self, value_ms: float) -> None:
-                self.value_ms = float(value_ms)
-
-            def predict(self, ctx: PredictionContext) -> float:
-                return self.value_ms
-
-            def observe(self, ms: float, ctx: PredictionContext) -> None:
-                return None
-
-            def reset(self) -> None:
-                return None
-
-        register_predictor(
-            PredictorBackend(
-                name="median-test",
-                cls=MedianPredictor,
-                fit=lambda tr, task, **opts: MedianPredictor(
-                    float(np.median(np.concatenate(tr.task_series(task))))
-                ),
-                to_dict=lambda p: {"type": "median-test", "value_ms": p.value_ms},
-                from_dict=lambda d: MedianPredictor(float(d["value_ms"])),
-            )
-        )
-        model = ComputationModel.fit(
-            traces, predictor_kinds={"REG": "median-test"}
-        )
-        p = model.predictors["REG"]
-        assert isinstance(p, MedianPredictor)
-        doc = predictor_to_dict(p)
-        q = predictor_from_dict(doc)
-        assert q.predict(PredictionContext()) == p.predict(PredictionContext())
-
     def test_unregistered_class_cannot_serialize(self):
         class Rogue:
             pass

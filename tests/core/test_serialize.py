@@ -59,6 +59,22 @@ class TestRoundTrip:
             model.computation.train_mean_ms
         )
 
+    def test_conditioned_model_round_trips(self, traces, tmp_path):
+        model = TripleC.fit(
+            traces, predictor_kinds={"CPLS_SEL": "scenario-conditioned"}
+        )
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        p = loaded.computation.predictors["CPLS_SEL"]
+        assert "per-granularity" in p.kind
+        for sid in (3, 5):
+            ctx = PredictionContext(roi_kpixels=100.0, scenario_id=sid)
+            want = model.computation.predictors["CPLS_SEL"].predict(ctx)
+            assert p.predict(ctx) == want
+
     def test_online_state_not_persisted(self, saved):
         """Saved models start cold: EWMA/Markov state is per-sequence."""
         model, path = saved
@@ -79,13 +95,13 @@ class TestPredictorRoundTrips:
         import numpy as np
 
         from repro.core.markov import MarkovChain
-        from repro.core.serialize import _chain_from_dict, _chain_to_dict
+        from repro.core.computation import chain_from_dict, chain_to_dict
 
         for seed in range(12):
             rng = np.random.default_rng(seed)
             series = rng.gamma(2.0, 3.0, size=rng.integers(20, 400))
             chain = MarkovChain.fit([series])
-            back = _chain_from_dict(_chain_to_dict(chain))
+            back = chain_from_dict(chain_to_dict(chain))
             np.testing.assert_array_equal(back.transition, chain.transition)
             np.testing.assert_array_equal(back.counts, chain.counts)
             np.testing.assert_array_equal(
@@ -104,10 +120,8 @@ class TestPredictorRoundTrips:
             MarkovPredictor,
             PredictionContext,
             RoiLinearMarkovPredictor,
-        )
-        from repro.core.serialize import (
-            _predictor_from_dict,
-            _predictor_to_dict,
+            predictor_from_dict,
+            predictor_to_dict,
         )
 
         rng = np.random.default_rng(3)
@@ -122,27 +136,25 @@ class TestPredictorRoundTrips:
         ]
         ctx = PredictionContext(roi_kpixels=120.0)
         for p in preds:
-            q = _predictor_from_dict(_predictor_to_dict(p))
+            q = predictor_from_dict(predictor_to_dict(p))
             assert q.predict(ctx) == pytest.approx(p.predict(ctx), rel=1e-12)
 
     def test_unknown_predictor_type_rejected(self):
-        from repro.core.serialize import _predictor_from_dict
+        from repro.core.computation import predictor_from_dict
 
         with pytest.raises(ValueError):
-            _predictor_from_dict({"type": "wizard"})
+            predictor_from_dict({"type": "wizard"})
 
     def test_scenario_conditioned_round_trips(self, traces):
         from repro.core.computation import (
             PredictionContext,
             ScenarioConditionedPredictor,
-        )
-        from repro.core.serialize import (
-            _predictor_from_dict,
-            _predictor_to_dict,
+            predictor_from_dict,
+            predictor_to_dict,
         )
 
         p = ScenarioConditionedPredictor.fit(traces, "CPLS_SEL")
-        q = _predictor_from_dict(_predictor_to_dict(p))
+        q = predictor_from_dict(predictor_to_dict(p))
         assert set(q.inner) == set(p.inner)
         for sid in (3, 5, None):
             ctx = PredictionContext(roi_kpixels=100.0, scenario_id=sid)

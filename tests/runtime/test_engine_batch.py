@@ -7,8 +7,8 @@ partition map and per-task time -- and the simulator's bandwidth
 ledger must equal the scalar loop's exactly (``run_tape(...,
 batched=False)`` is the reference), and the policy's model must end
 the run in the same state.  Warm models, DRAM contention,
-observability and online-updating chains all stay on the walk; only
-quality control (and predictors outside the built-ins) run the scalar
+observability, online-updating chains and scenario-conditioned
+predictors all stay on the walk; only quality control runs the scalar
 loop.
 """
 
@@ -249,6 +249,45 @@ class TestOnlineBatchParity:
         chains = {t for t, state in pristine.items() if state[3] is not None}
         trained = {t for t in chains if batched[0][1][t][3] != pristine[t][3]}
         assert trained or not chains
+
+
+class TestConditionedBatchParity:
+    """A scenario-conditioned predictor takes the batched walk, bit for
+    bit: per-granularity inner walks over the executions observed in
+    each group, the pooled walk over all of them."""
+
+    @pytest.mark.parametrize("online_update", [False, True])
+    @pytest.mark.parametrize("untrained_group", [None, 0])
+    def test_managed_run_matches_scalar(
+        self, seq, traces, profile_config, online_update, untrained_group
+    ):
+        model = TripleC.fit(
+            traces,
+            online_update=online_update,
+            predictor_kinds={"CPLS_SEL": "scenario-conditioned"},
+        )
+        inner = model.computation.predictors["CPLS_SEL"].inner
+        assert sorted(inner) == [0, 1]
+        if untrained_group is not None:
+            # A group that never trained answers from the pooled predictor.
+            del inner[untrained_group]
+        tape = record_tape(seq, make_pipeline(seq))
+
+        def run(batched: bool):
+            m = copy.deepcopy(model)
+            sim = profile_config.make_simulator()
+            engine = FrameEngine(sim, TripleCPolicy.for_simulator(m, sim))
+            assert engine.policy.supports_batch()
+            if batched:
+                _forbid_scalar(engine)
+            result = engine.run_tape(tape, seq_key="b-cond", batched=batched)
+            return result, m.scenarios.counts.copy(), m.predict(100.0).task_ms
+
+        got, want = run(batched=True), run(batched=False)
+        assert_bit_identical(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        # The predictors end the run warmed identically.
+        assert got[2] == want[2]
 
 
 class _RaisingPlanPolicy(StaticSerialPolicy):

@@ -6,7 +6,9 @@ reports.  For every registered workload and every batchable policy,
 scalar replay's frame table, metric series and trace -- span and event
 names, attrs, nesting and order; ids and timestamps aside.  The
 ``online`` policy is the managed one over an ``online_update=True``
-model, whose chains the batch walk replays on copies.
+model, whose chains the batch walk replays on copies.  A managed run
+over a scenario-conditioned model reports the same predictor series
+on both paths too.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core import TripleC
 from repro.core.computation import EwmaMarkovPredictor
-from repro.runtime import FrameEngine, StaticSerialPolicy, TripleCPolicy
+from repro.experiments.common import make_pipeline
+from repro.experiments.fig7 import fig7_sequence
+from repro.runtime import FrameEngine, StaticSerialPolicy, TripleCPolicy, record_tape
 
 POLICIES = ("managed", "accuracy", "straightforward", "online")
 
@@ -90,7 +95,43 @@ def _close(got: float, want: float) -> bool:
 def test_observed_batched_run_matches_scalar(deployment, kind):
     o_b, batched = _observed_run(deployment, kind, batched=True)
     o_s, scalar = _observed_run(deployment, kind, batched=False)
+    _assert_same_run(o_b, batched, o_s, scalar)
 
+
+@pytest.mark.parametrize("online_update", [False, True])
+def test_observed_conditioned_run_matches_scalar(
+    traces, profile_config, online_update
+):
+    """A scenario-conditioned model's inner and pooled predictors
+    report the scalar loop's series from the batched walk."""
+    seq = fig7_sequence(n_frames=48)
+    tape = record_tape(seq, make_pipeline(seq))
+    model = TripleC.fit(
+        traces,
+        online_update=online_update,
+        predictor_kinds={"CPLS_SEL": "scenario-conditioned"},
+    )
+
+    def run(batched: bool):
+        sim = profile_config.make_simulator()
+        policy = TripleCPolicy.for_simulator(copy.deepcopy(model), sim)
+        engine = FrameEngine(sim, policy)
+        assert engine.policy.supports_batch()
+        with obs.observed() as o:
+            result = engine.run_tape(tape, seq_key="obs-cond", batched=batched)
+        return o, result
+
+    o_b, batched = run(batched=True)
+    _assert_same_run(o_b, batched, *run(batched=False))
+    names = {inst.name for inst in o_b.metrics.instruments()}
+    assert {
+        "markov_state_total",
+        "predict_ewma_component_ms",
+        "predict_markov_component_ms",
+    } <= names
+
+
+def _assert_same_run(o_b, batched, o_s, scalar):
     # Frame tables, column for column.
     assert len(batched) == len(scalar)
     for name in _COLUMNS:
