@@ -1052,6 +1052,20 @@ class ComputationModel:
     #: manager initializes its latency budget from (Section 6).
     train_mean_ms: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Label each EWMA+Markov predictor (inner ones of a conditioned
+        # predictor too) with its task for the component telemetry; a
+        # fitted and a loaded model go through here alike.
+        for task, p in self.predictors.items():
+            inner = (
+                (*p.inner.values(), p.pooled)
+                if isinstance(p, ScenarioConditionedPredictor)
+                else (p,)
+            )
+            for q in inner:
+                if isinstance(q, EwmaMarkovPredictor):
+                    q.task = task
+
     @staticmethod
     def fit(
         traces: TraceSet,
@@ -1068,26 +1082,20 @@ class ComputationModel:
         kinds = dict(DEFAULT_PREDICTOR_KINDS)
         if predictor_kinds:
             kinds.update(predictor_kinds)
-        model = ComputationModel()
+        predictors: dict[str, TaskTimePredictor] = {}
+        train_mean_ms: dict[str, float] = {}
         for task in traces.tasks():
             series = traces.task_series(task)
             if not series:
                 continue
-            model.train_mean_ms[task] = float(
+            train_mean_ms[task] = float(
                 np.concatenate([np.asarray(s) for s in series]).mean()
             )
             cls = predictor_class(kinds.get(task, "constant"))
-            model.predictors[task] = cls.from_traces(
+            predictors[task] = cls.from_traces(
                 traces, task, alpha=alpha, online_update=online_update
             )
-        for task, p in model.predictors.items():
-            if isinstance(p, EwmaMarkovPredictor):
-                p.task = task
-            elif isinstance(p, ScenarioConditionedPredictor):
-                for inner in (*p.inner.values(), p.pooled):
-                    if isinstance(inner, EwmaMarkovPredictor):
-                        inner.task = task
-        return model
+        return ComputationModel(predictors, train_mean_ms)
 
     def predict_tasks(
         self, tasks: Sequence[str], ctx: PredictionContext

@@ -24,7 +24,6 @@ from repro.imaging.guidewire import extract_guidewire
 from repro.imaging.markers import extract_markers
 from repro.imaging.registration import register_couples
 from repro.imaging.ridge import ridge_filter
-from repro.runtime import simulate_report_sweep
 from repro.synthetic.sequence import SequenceConfig, XRaySequence
 from repro.util.stats import linear_fit
 
@@ -94,23 +93,17 @@ def run(
     edges = np.linspace(32, frame_edge - 8, 8).astype(int)
     n_points = edges.size * n_frames_per_size
     roi = np.empty(n_points)
-    serial_frames = []
-    striped_frames = []
+    ser = np.empty(n_points)
+    par = np.empty(n_points)
     for i, (edge, k) in enumerate(
         (e, k) for e in edges for k in range(n_frames_per_size)
     ):
         frame_idx = (int(edge) * 7 + k * 5) % len(seq)
         reports, px = _frame_reports(seq, frame_idx, int(edge), ctx)
         key = ("fig6", int(edge), k)
-        serial_frames.append((reports, Mapping.serial(), key))
-        striped_frames.append((reports, two_stripe, key))
+        ser[i] = sim_serial.simulate_frame(reports, Mapping.serial(), key).latency_ms
+        par[i] = sim_striped.simulate_frame(reports, two_stripe, key).latency_ms
         roi[i] = px * scale / 1000.0
-    ser = np.asarray(
-        [r.latency_ms for r in simulate_report_sweep(sim_serial, serial_frames)]
-    )
-    par = np.asarray(
-        [r.latency_ms for r in simulate_report_sweep(sim_striped, striped_frames)]
-    )
     slope_s, icpt_s = linear_fit(roi, ser)
     slope_p, icpt_p = linear_fit(roi, par)
 

@@ -23,30 +23,12 @@ import numpy as np
 import repro.obs as obs
 from repro.graph.flowgraph import FlowGraph
 from repro.hw.bus import BandwidthLedger
-from repro.hw.cost import BatchCost, CostBreakdown, CostModel
+from repro.hw.cost import BatchCost, CostModel
 from repro.hw.mapping import Mapping
 from repro.imaging.common import WorkReport
 from repro.util.units import MS_PER_S
 
-__all__ = ["TaskTiming", "FrameResult", "PlatformSimulator"]
-
-
-@dataclass(frozen=True)
-class TaskTiming:
-    """Scheduling record of one task within a frame."""
-
-    task: str
-    start_ms: float
-    end_ms: float
-    cores: tuple[int, ...]
-    compute_ms: float
-    comm_ms: float
-    overhead_ms: float
-    breakdown: CostBreakdown
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
+__all__ = ["FrameResult", "PlatformSimulator"]
 
 
 @dataclass
@@ -57,8 +39,6 @@ class FrameResult:
     ----------
     latency_ms:
         Effective frame latency (completion of the last task).
-    timings:
-        Per-task scheduling records in execution order.
     task_ms:
         Convenience map task -> single-core compute time (the value
         the Triple-C computation predictors model).
@@ -67,14 +47,9 @@ class FrameResult:
     """
 
     latency_ms: float
-    timings: list[TaskTiming]
     task_ms: dict[str, float] = field(default_factory=dict)
     eviction_bytes: int = 0
     external_bytes: int = 0
-
-    def busy_ms(self) -> float:
-        """Total core-busy milliseconds (compute work) of the frame."""
-        return float(sum(t.compute_ms for t in self.timings))
 
 
 class PlatformSimulator:
@@ -202,6 +177,22 @@ class PlatformSimulator:
             return nbytes / self.platform.l1_l2_bw * MS_PER_S, "l2"
         return nbytes / self.platform.l2_bus_bw * MS_PER_S, "bus"
 
+    def _price(
+        self, reports: TMapping[str, WorkReport], frame_key: tuple[object, ...]
+    ) -> tuple[dict[str, tuple[float, int, int]], dict[str, float]]:
+        """Price every report with :meth:`CostModel.time_ms`: the
+        walk's ``(compute_ms, eviction_bytes, external_bytes)`` per
+        task, and each task's cache-stall ms (what contention
+        stretches)."""
+        time_ms = self.cost_model.time_ms
+        costs: dict[str, tuple[float, int, int]] = {}
+        stall_ms: dict[str, float] = {}
+        for name, report in reports.items():
+            b = time_ms(report, frame_key=frame_key)
+            costs[name] = (b.total_ms, b.cache.eviction_bytes, b.cache.external_bytes)
+            stall_ms[name] = b.cache_stall_ms
+        return costs, stall_ms
+
     # -- main entry point ------------------------------------------------------
 
     def simulate_frame(
@@ -228,9 +219,15 @@ class PlatformSimulator:
         The frame sees an otherwise idle platform; for overlapping
         frames sharing the cores, use :meth:`simulate_stream`.
         """
-        core_free = [start_ms] * self.platform.n_cores
-        return self._schedule_chain(
-            reports, mapping, frame_key, start_ms, core_free, []
+        costs, stall_ms = self._price(reports, frame_key)
+        return self._walk(
+            reports,
+            mapping,
+            costs,
+            start_ms,
+            [start_ms] * self.platform.n_cores,
+            [] if self.dram_contention else None,
+            stall_ms,
         )
 
     def simulate_stream(
@@ -280,13 +277,16 @@ class PlatformSimulator:
             if any(b < a for a, b in zip(arrivals, arrivals[1:])):
                 raise ValueError("arrivals must be non-decreasing")
         core_free = [0.0] * self.platform.n_cores
-        demand: list[tuple[float, float, float]] = []
+        demand: list[tuple[float, float, float]] | None = (
+            [] if self.dram_contention else None
+        )
         results: list[FrameResult] = []
         for k, (reports, mapping, frame_key) in enumerate(frames):
             arrival = arrivals[k] if arrivals is not None else k * period_ms
+            costs, stall_ms = self._price(reports, frame_key)
             results.append(
-                self._schedule_chain(
-                    reports, mapping, frame_key, arrival, core_free, demand
+                self._walk(
+                    reports, mapping, costs, arrival, core_free, demand, stall_ms
                 )
             )
         return results
@@ -303,11 +303,41 @@ class PlatformSimulator:
         The batched engine prices every execution up front with the
         columnar cost path (``CostModel.time_ms_many``) and hands each
         frame's ``task -> (compute_ms, eviction_bytes, external_bytes)``
-        here; the scheduling arithmetic, ledger records and totals are
-        those of :meth:`simulate_frame`, without re-deriving costs or
-        building per-task :class:`TaskTiming` records (no per-frame
-        record object in the hot loop).  Under DRAM contention the
-        costs come from :meth:`contended_costs`.
+        here; the scheduling walk, ledger records and totals are
+        those of :meth:`simulate_frame`, without re-deriving costs.
+        Under DRAM contention the costs come from
+        :meth:`contended_costs` (already stretched), so the walk
+        posts no demand.
+        """
+        return self._walk(
+            reports,
+            mapping,
+            costs,
+            start_ms,
+            [start_ms] * self.platform.n_cores,
+            None,
+            None,
+        )
+
+    def _walk(
+        self,
+        reports: TMapping[str, WorkReport],
+        mapping: Mapping,
+        costs: TMapping[str, tuple[float, int, int]],
+        start_ms: float,
+        core_free: list[float],
+        demand: list[tuple[float, float, float]] | None,
+        stall_ms: TMapping[str, float] | None,
+    ) -> FrameResult:
+        """Schedule one priced frame chain onto (possibly busy) core
+        timelines.
+
+        ``costs`` maps each task to its ``(compute_ms, eviction_bytes,
+        external_bytes)``.  ``demand``, when not ``None``, holds the
+        DRAM-demand intervals posted so far in this call (see
+        ``dram_contention``): each task's memory-bound part
+        (``stall_ms``) stretches by the oversubscription in its
+        window, and the chain appends its own intervals.
         """
         max_core = mapping.max_core()
         if max_core >= self.platform.n_cores:
@@ -316,9 +346,9 @@ class PlatformSimulator:
                 f"{self.platform.n_cores} cores"
             )
         scale = self.cost_model.pixel_scale
+        # Hoisted out of the task loop (loop-invariant attribute chains).
         l2_bus_bw = self.platform.l2_bus_bw
         record = self.ledger.record
-        core_free = [start_ms] * self.platform.n_cores
 
         task_ms: dict[str, float] = {}
         eviction_total = 0
@@ -337,126 +367,27 @@ class PlatformSimulator:
             external_total += external_bytes
             record("dram", external_bytes)
 
-            comm_ms = 0.0
-            if prev_core is not None and prev_out_bytes > 0:
-                comm_ms, link = self._comm_time_ms(
-                    prev_out_bytes, prev_core, cores[0]
-                )
-                record(link, prev_out_bytes)
-            task_ms[name] = compute_ms
-
-            if n_parts == 1:
-                core = cores[0]
-                begin = max(prev_end + comm_ms, core_free[core])
-                end = begin + compute_ms
-                core_free[core] = end
-            else:
-                halo_bytes = (
-                    report.bytes_in * scale * self.halo_fraction * (n_parts - 1)
-                )
-                record("bus", halo_bytes)
-                halo_ms = halo_bytes / l2_bus_bw * MS_PER_S
-                slice_ms = compute_ms / n_parts + halo_ms
-                fork_done = (
-                    max(prev_end + comm_ms, core_free[cores[0]]) + self.fork_ms
-                )
-                # Every slice ends at or after fork_done, so the
-                # incremental max equals max(slice_ends).
-                last_slice = fork_done
-                for core in cores:
-                    b = max(fork_done, core_free[core])
-                    e = b + slice_ms
-                    core_free[core] = e
-                    if e > last_slice:
-                        last_slice = e
-                end = last_slice + self.join_ms
-                core_free[cores[0]] = max(core_free[cores[0]], end)
-
-            prev_end = end
-            prev_core = cores[0]
-            prev_out_bytes = report.bytes_out * scale
-
-        self.ledger.frame_done()
-        o = obs.get_obs()
-        if o.enabled:
-            o.metrics.counter("hw_eviction_bytes_total").inc(float(eviction_total))
-            o.metrics.counter("hw_external_bytes_total").inc(float(external_total))
-        return FrameResult(
-            latency_ms=prev_end - start_ms,
-            timings=[],
-            task_ms=task_ms,
-            eviction_bytes=eviction_total,
-            external_bytes=external_total,
-        )
-
-    def _schedule_chain(
-        self,
-        reports: TMapping[str, WorkReport],
-        mapping: Mapping,
-        frame_key: tuple[object, ...],
-        start_ms: float,
-        core_free: list[float],
-        demand: list[tuple[float, float, float]],
-    ) -> FrameResult:
-        """Schedule one frame's chain onto (possibly busy) timelines.
-
-        ``demand`` holds the DRAM-demand intervals posted so far in
-        this call (see ``dram_contention``); the chain appends its own.
-        """
-        max_core = mapping.max_core()
-        if max_core >= self.platform.n_cores:
-            raise ValueError(
-                f"mapping uses core {max_core} but platform has "
-                f"{self.platform.n_cores} cores"
-            )
-        scale = self.cost_model.pixel_scale
-        # Hoisted out of the task loop (loop-invariant attribute chain).
-        l2_bus_bw = self.platform.l2_bus_bw
-
-        timings: list[TaskTiming] = []
-        task_ms: dict[str, float] = {}
-        eviction_total = 0
-        external_total = 0
-        prev_end = start_ms
-        prev_core: int | None = None
-        prev_out_bytes = 0.0
-
-        for name, report in reports.items():
-            cores = mapping.cores_for(name)
-            n_parts = len(cores)
-            self._validate_partition(name, n_parts)
-
-            breakdown = self.cost_model.time_ms(report, frame_key=frame_key)
-            compute_ms = breakdown.total_ms
-            eviction_total += breakdown.cache.eviction_bytes
-            external_total += breakdown.cache.external_bytes
-            self.ledger.record("dram", breakdown.cache.external_bytes)
-
             # Input transfer from the producing task's core.
             comm_ms = 0.0
             if prev_core is not None and prev_out_bytes > 0:
                 comm_ms, link = self._comm_time_ms(
                     prev_out_bytes, prev_core, cores[0]
                 )
-                self.ledger.record(link, prev_out_bytes)
+                record(link, prev_out_bytes)
+            begin = max(prev_end + comm_ms, core_free[cores[0]])
 
             # Optional DRAM sharing: stretch the memory-bound part of
             # the task by the channel oversubscription in its window.
-            if self.dram_contention and compute_ms > 0:
-                est_begin = max(prev_end + comm_ms, core_free[cores[0]])
-                own_rate = breakdown.cache.external_bytes / compute_ms
+            if demand is not None and compute_ms > 0:
                 factor = self._dram_slowdown(
-                    est_begin, est_begin + compute_ms, own_rate, demand
+                    begin, begin + compute_ms, external_bytes / compute_ms, demand
                 )
-                compute_ms += breakdown.cache_stall_ms * (factor - 1.0)
+                compute_ms += stall_ms[name] * (factor - 1.0)
             task_ms[name] = compute_ms
 
             if n_parts == 1:
-                core = cores[0]
-                begin = max(prev_end + comm_ms, core_free[core])
                 end = begin + compute_ms
-                core_free[core] = end
-                overhead_ms = 0.0
+                core_free[cores[0]] = end
             else:
                 # Partitioned execution: fork, run slices in parallel,
                 # join.  Each extra partition re-reads a halo slice of
@@ -464,37 +395,23 @@ class PlatformSimulator:
                 halo_bytes = (
                     report.bytes_in * scale * self.halo_fraction * (n_parts - 1)
                 )
-                self.ledger.record("bus", halo_bytes)
+                record("bus", halo_bytes)
                 halo_ms = halo_bytes / l2_bus_bw * MS_PER_S
                 slice_ms = compute_ms / n_parts + halo_ms
-                overhead_ms = self.fork_ms + self.join_ms
-                fork_done = max(prev_end + comm_ms, core_free[cores[0]]) + self.fork_ms
-                slice_ends = []
+                fork_done = begin + self.fork_ms
+                # Every slice ends at or after fork_done, so the
+                # incremental max equals max(slice_ends).
+                last_slice = fork_done
                 for core in cores:
-                    b = max(fork_done, core_free[core])
-                    e = b + slice_ms
+                    e = max(fork_done, core_free[core]) + slice_ms
                     core_free[core] = e
-                    slice_ends.append(e)
-                begin = fork_done - self.fork_ms
-                end = max(slice_ends) + self.join_ms
+                    if e > last_slice:
+                        last_slice = e
+                end = last_slice + self.join_ms
                 core_free[cores[0]] = max(core_free[cores[0]], end)
 
-            timings.append(
-                TaskTiming(
-                    task=name,
-                    start_ms=begin,
-                    end_ms=end,
-                    cores=cores,
-                    compute_ms=compute_ms,
-                    comm_ms=comm_ms,
-                    overhead_ms=overhead_ms,
-                    breakdown=breakdown,
-                )
-            )
-            if self.dram_contention and end > begin:
-                demand.append(
-                    (begin, end, breakdown.cache.external_bytes / (end - begin))
-                )
+            if demand is not None and end > begin:
+                demand.append((begin, end, external_bytes / (end - begin)))
             prev_end = end
             prev_core = cores[0]
             prev_out_bytes = report.bytes_out * scale
@@ -506,7 +423,6 @@ class PlatformSimulator:
             o.metrics.counter("hw_external_bytes_total").inc(float(external_total))
         return FrameResult(
             latency_ms=prev_end - start_ms,
-            timings=timings,
             task_ms=task_ms,
             eviction_bytes=eviction_total,
             external_bytes=external_total,

@@ -32,7 +32,6 @@ from repro.runtime.engine import (
     StaticSerialPolicy,
     TripleCPolicy,
     WorstCaseReservationPolicy,
-    simulate_report_sweep,
 )
 from repro.runtime.frametable import FrameTable
 from repro.runtime.partition import PartitionDecision, Partitioner
@@ -57,7 +56,6 @@ __all__ = [
     "StaticSerialPolicy",
     "WorstCaseReservationPolicy",
     "CoschedulePolicy",
-    "simulate_report_sweep",
     "FrameLog",
     "RunResult",
     "BackgroundFunction",

@@ -20,7 +20,7 @@ drivers express their placements as a :class:`CoschedulePolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "WorstCaseReservationPolicy",
     "CoschedulePolicy",
     "record_tape",
-    "simulate_report_sweep",
 ]
 
 
@@ -147,77 +146,50 @@ class SchedulingPolicy(Protocol):
 class RunResult:
     """Outcome of one managed (or baseline) sequence run.
 
-    Engine-produced results are backed by a columnar
-    :class:`~repro.runtime.frametable.FrameTable`: the latency /
-    prediction series are zero-copy views of its columns and
-    ``frames`` materializes :class:`FrameLog` rows lazily (cached
-    until more frames are recorded).  Hand-assembled results (tests,
-    notebooks) may still pass a ``frames`` list and mutate it; the
-    table is derived on demand in that mode.
+    Backed by a columnar :class:`~repro.runtime.frametable.FrameTable`
+    (``table``): the latency / prediction series are zero-copy views
+    of its columns and ``frames`` materializes :class:`FrameLog` rows
+    lazily (cached until more frames are recorded).
     """
 
     def __init__(
         self,
-        frames: list[FrameLog] | None = None,
+        table: FrameTable,
         budget_ms: float | None = None,
         label: str = "",
-        table: FrameTable | None = None,
     ) -> None:
-        if frames is not None and table is not None:
-            raise ValueError("pass either frames or table, not both")
-        self._table = table
-        self._frames = None if table is not None else list(frames or [])
+        self.table = table
         self._log_cache: tuple[int, list[FrameLog]] | None = None
         self.budget_ms = budget_ms
         self.label = label
 
     @property
     def frames(self) -> list[FrameLog]:
-        """Per-frame logs (materialized from the table when columnar)."""
-        if self._frames is not None:
-            return self._frames
-        table = self._table
-        assert table is not None
+        """Per-frame logs, materialized from the table."""
         cache = self._log_cache
-        if cache is None or cache[0] != len(table):
-            cache = (len(table), table.logs())
+        if cache is None or cache[0] != len(self.table):
+            cache = (len(self.table), self.table.logs())
             self._log_cache = cache
         return cache[1]
 
-    @property
-    def table(self) -> FrameTable:
-        """Columnar view of the run (built on demand for list-mode)."""
-        if self._table is not None:
-            return self._table
-        assert self._frames is not None
-        return FrameTable.from_logs(self._frames)
-
     def __len__(self) -> int:
-        if self._table is not None:
-            return len(self._table)
-        assert self._frames is not None
-        return len(self._frames)
-
-    def _series(self, name: str, attr: str) -> np.ndarray:
-        if self._table is not None:
-            return self._table.column(name)
-        return np.asarray([getattr(f, attr) for f in self.frames])
+        return len(self.table)
 
     def latency(self) -> np.ndarray:
         """Completion-latency series."""
-        return self._series("latency_ms", "latency_ms")
+        return self.table.column("latency_ms")
 
     def output_latency(self) -> np.ndarray:
         """Post-delay-line output-latency series."""
-        return self._series("output_ms", "output_ms")
+        return self.table.column("output_ms")
 
     def serial_latency(self) -> np.ndarray:
         """What the same frames would cost serially (sum of tasks)."""
-        return self._series("serial_ms", "serial_ms")
+        return self.table.column("serial_ms")
 
     def predicted(self) -> np.ndarray:
         """Per-frame predicted serial times."""
-        return self._series("predicted_ms", "predicted_ms")
+        return self.table.column("predicted_ms")
 
     def jitter(self) -> JitterMetrics:
         """Jitter metrics of the completion latency."""
@@ -230,8 +202,8 @@ class RunResult:
             return 0.0
         hits = int(
             np.count_nonzero(
-                self._series("predicted_scenario", "predicted_scenario")
-                == self._series("actual_scenario", "actual_scenario")
+                self.table.column("predicted_scenario")
+                == self.table.column("actual_scenario")
             )
         )
         return hits / n
@@ -240,7 +212,7 @@ class RunResult:
         """Average core usage (headroom for co-scheduling)."""
         if not len(self):
             return 0.0
-        return float(np.mean(self._series("cores_used", "cores_used")))
+        return float(np.mean(self.table.column("cores_used")))
 
 
 def _frame_dicts(columns: dict[str, np.ndarray], n: int) -> list[dict]:
@@ -412,7 +384,7 @@ class FrameEngine:
         delay = DelayLine(budget) if budget is not None else None
         run_label = self.policy.label if label is None else label
         table = FrameTable(capacity=len(sequence))
-        result = RunResult(budget_ms=budget_ms, label=run_label, table=table)
+        result = RunResult(table, budget_ms=budget_ms, label=run_label)
 
         o = obs.get_obs()
         with o.tracer.span("engine.sequence") as seq_span:
@@ -485,7 +457,7 @@ class FrameEngine:
         delay = DelayLine(budget) if budget is not None else None
         run_label = policy.label if label is None else label
         table = FrameTable(capacity=len(tape))
-        result = RunResult(budget_ms=budget_ms, label=run_label, table=table)
+        result = RunResult(table, budget_ms=budget_ms, label=run_label)
 
         o = obs.get_obs()
         with o.tracer.span("engine.sequence") as seq_span:
@@ -1055,8 +1027,8 @@ class CoschedulePolicy:
         """The frame-``k`` placement."""
         window = self.window if self.window is not None else self.n_cores
         mapping = Mapping.serial()
-        if self.source is not None and k < len(self.source.frames):
-            for task, n_parts in self.source.frames[k].parts.items():
+        if self.source is not None and k < len(self.source):
+            for task, n_parts in self.source.table.parts_at(k).items():
                 if n_parts > 1:
                     mapping = mapping.with_partition(
                         task, tuple(range(min(n_parts, window)))
@@ -1083,18 +1055,3 @@ class CoschedulePolicy:
             (rep, self.mapping_for(k), key(k)) for k, rep in enumerate(reports)
         ]
 
-
-def simulate_report_sweep(
-    simulator: PlatformSimulator,
-    frames: Iterable[tuple[dict, Mapping, object]],
-) -> list[FrameResult]:
-    """Simulate hand-built ``(reports, mapping, frame_key)`` frames.
-
-    For sweeps that construct task reports outside a sequence run
-    (e.g. fig6's forced-ROI crops); keeps the raw ``simulate_frame``
-    loop inside the engine module.
-    """
-    return [
-        simulator.simulate_frame(reports, mapping, frame_key=key)
-        for reports, mapping, key in frames
-    ]

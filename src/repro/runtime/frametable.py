@@ -21,7 +21,7 @@ times are finite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -312,26 +312,3 @@ class FrameTable:
     def logs(self) -> list[FrameLog]:
         """Materialize every frame (compatibility path, not hot)."""
         return [self.log(i) for i in range(self._n)]
-
-    @staticmethod
-    def from_logs(logs: Iterable[FrameLog]) -> "FrameTable":
-        """Build a table from materialized logs (the inverse of
-        :meth:`logs`; used by callers that assemble results by hand)."""
-        logs = list(logs)
-        table = FrameTable(capacity=len(logs))
-        for log in logs:
-            table.add_frame(
-                index=log.index,
-                predicted_scenario=log.predicted_scenario,
-                actual_scenario=log.actual_scenario,
-                predicted_ms=log.predicted_ms,
-                serial_ms=log.serial_ms,
-                latency_ms=log.latency_ms,
-                output_ms=log.output_ms,
-                cores_used=log.cores_used,
-                parts=log.parts,
-                quality=log.quality,
-                task_ms=log.task_ms,
-                predicted_task_ms=log.predicted_task_ms,
-            )
-        return table

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core import TripleC
 from repro.core.computation import PredictionContext
 from repro.core.serialize import FORMAT_VERSION, load_model, save_model
@@ -74,6 +75,39 @@ class TestRoundTrip:
             ctx = PredictionContext(roi_kpixels=100.0, scenario_id=sid)
             want = model.computation.predictors["CPLS_SEL"].predict(ctx)
             assert p.predict(ctx) == want
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [None, {"CPLS_SEL": "scenario-conditioned"}],
+        ids=["plain", "conditioned"],
+    )
+    def test_loaded_model_keeps_telemetry_labels(self, traces, tmp_path, kinds):
+        """A loaded model labels its EWMA/Markov component telemetry
+        with the task, as the fitted model does (inner predictors of a
+        scenario-conditioned one included)."""
+        model = TripleC.fit(traces, predictor_kinds=kinds)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+
+        def label_sets(m):
+            with obs.observed() as o:
+                m.start_sequence(initial_scenario=3)
+                for k in range(8):
+                    pred = m.predict(150.0)
+                    measured = {
+                        t: ms * (1.0 + 0.03 * (k % 3)) for t, ms in pred.task_ms.items()
+                    }
+                    m.observe(pred.scenario_id, measured, 150.0)
+            snap = o.metrics.snapshot()
+            return {
+                (e["name"], tuple(sorted(e["labels"].items())))
+                for section in snap.values()
+                for e in section
+            }
+
+        fitted, reloaded = label_sets(model), label_sets(loaded)
+        assert ("predict_ewma_component_ms", (("task", "CPLS_SEL"),)) in fitted
+        assert reloaded == fitted
 
     def test_online_state_not_persisted(self, saved):
         """Saved models start cold: EWMA/Markov state is per-sequence."""

@@ -38,7 +38,7 @@ class TestInvariants:
         reports = {t: WorkReport(task=t) for t in durations}
         res = sim.simulate_frame(reports, Mapping.serial())
         assert res.latency_ms == pytest.approx(sum(durations.values()), rel=1e-9)
-        assert res.busy_ms() == pytest.approx(res.latency_ms, rel=1e-9)
+        assert sum(res.task_ms.values()) == pytest.approx(res.latency_ms, rel=1e-9)
 
     @given(durations_st, st.integers(min_value=2, max_value=4))
     @settings(max_examples=40, deadline=None)

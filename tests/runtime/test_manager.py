@@ -3,6 +3,8 @@ under :class:`TripleCPolicy`."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,10 @@ class TestResourceManager:
         assert managed_run.mean_cores_used() < profile_config.platform.n_cores / 2
 
     def test_explicit_budget_respected(self, trained_model, profile_config, test_seq):
-        engine = managed_engine(trained_model, profile_config, budget_ms=70.0)
+        # The run's observe calls mutate the model: keep the shared
+        # session model (and its cached stationary distribution) intact.
+        model = copy.deepcopy(trained_model)
+        engine = managed_engine(model, profile_config, budget_ms=70.0)
         run = engine.run(test_seq, make_pipe(test_seq), seq_key="t-b70")
         assert run.budget_ms == 70.0
         assert np.all(run.output_latency() >= 70.0 - 1e-9)
