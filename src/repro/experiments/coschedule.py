@@ -42,8 +42,8 @@ def run(ctx: ExperimentContext, n_frames: int = 150) -> dict:
         t: model.computation.train_mean_ms.get(t, 0.0)
         for t in ctx.graph.active_tasks(SwitchState.from_scenario_id(worst_sid))
     }
-    static_decision = policy.partitioner.choose(
-        worst_tasks, managed.budget_ms or 50.0
+    static_decision = policy.partitioner.choose_robust(
+        {worst_sid: worst_tasks}, managed.budget_ms or 50.0
     )
     static_cores = static_decision.cores_used
 

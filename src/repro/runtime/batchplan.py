@@ -177,7 +177,7 @@ def walk_scenario_predictions(
     """
     n = len(tape)
     comp = model.computation
-    observed_sids = tape.frame_columns().scenario_id
+    observed_sids = tape.scenario_ids()
     scenarios = model.scenarios
     graph = model.graph
     analyses = tape.analyses

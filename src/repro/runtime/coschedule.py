@@ -73,17 +73,15 @@ def idle_core_ms(
     to reserve (the partitioning that meets the latency budget under
     the *worst-case* scenario).
     """
-    out = np.empty(len(run.frames))
     total = platform.n_cores * frame_period_ms
-    for i, f in enumerate(run.frames):
-        if reserved_cores is not None:
-            if not 0 < reserved_cores <= platform.n_cores:
-                raise ValueError("reserved_cores outside the platform")
-            blocked = reserved_cores * frame_period_ms
-        else:
-            blocked = f.cores_used * min(f.latency_ms, frame_period_ms)
-        out[i] = max(0.0, total - blocked)
-    return out
+    if reserved_cores is not None:
+        if not 0 < reserved_cores <= platform.n_cores:
+            raise ValueError("reserved_cores outside the platform")
+        blocked = np.full(len(run), reserved_cores * frame_period_ms)
+    else:
+        cores = run.table.column("cores_used")
+        blocked = cores * np.minimum(run.table.column("latency_ms"), frame_period_ms)
+    return np.maximum(0.0, total - blocked)
 
 
 def coschedule(

@@ -333,8 +333,8 @@ def _emit_run_telemetry(
 class FrameEngine:
     """Runs a sequence through the simulator under one policy.
 
-    The engine is the only place in the runtime that loops over
-    ``simulate_frame``; everything policy-specific is delegated.
+    The engine is the only place in the runtime that loops over the
+    simulator's frames; everything policy-specific is delegated.
     """
 
     def __init__(
@@ -353,12 +353,13 @@ class FrameEngine:
         """Execute one sequence; returns the per-frame log.
 
         The engine records the image pass as a
-        :class:`~repro.runtime.tape.FrameTape` and advances the whole
-        sequence through the policy's vectorized batch steps --
-        bit-identical to the scalar loop, several times faster.  Only
-        a managed run with a quality controller, which the batch walk
-        cannot reproduce, takes the scalar loop; results and telemetry
-        are the same either way.
+        :class:`~repro.runtime.tape.FrameTape`, prices and plans the
+        whole sequence through the policy's vectorized batch steps and
+        then folds it frame by frame through the simulator -- bit-identical
+        to the scalar loop, several times faster.  Only a managed run
+        with a quality controller, which the batch walk cannot
+        reproduce, takes the scalar loop; results and telemetry are the
+        same either way.
         """
         if self.policy.supports_batch():
             tape = record_tape(
@@ -440,16 +441,16 @@ class FrameEngine:
     def _run_batched(
         self, tape: FrameTape, seq_key: object, label: str | None
     ) -> RunResult:
-        """The vectorized loop body: price, plan, fold, observe.
+        """The batched loop body: price, plan, fold, observe.
 
-        Executes the same four stages as the scalar loop, each over
-        the whole tape: costs come from the columnar cost path, plans
-        from the policy's ``plan_frames``, the per-frame fold applies
-        the scheduling arithmetic and writes the frame table, and
-        ``observe_frames`` replays the model feedback.  Every float
-        matches the scalar loop bit for bit (pinned by the batch
-        parity suite), and so does the telemetry emitted from the
-        table afterwards.
+        Executes the same four stages as the scalar loop: costs come
+        from the columnar cost path and plans from the policy's
+        ``plan_frames``, each over the whole tape; :meth:`_fold` then
+        walks every frame's chain through ``simulate_costed_frame``
+        and writes the frame table, and ``observe_frames`` replays the
+        model feedback.  Every float matches the scalar loop bit for
+        bit (pinned by the batch parity suite), and so does the
+        telemetry emitted from the table afterwards.
         """
         policy = self.policy
         budget = policy.begin_run(self)
@@ -463,18 +464,7 @@ class FrameEngine:
         with o.tracer.span("engine.sequence") as seq_span:
             costs = collect_batch_costs(self.simulator, tape, seq_key)
             plans: BatchPlans = policy.plan_frames(self, tape, costs)
-            n_cores = self.simulator.platform.n_cores
-            if any(
-                m.assignments or m.default_core >= n_cores
-                for m in plans.mappings
-            ):
-                task_ms_frames = self._fold_mapped_frames(
-                    tape, costs, plans, delay, table
-                )
-            else:
-                task_ms_frames = self._fold_serial_frames(
-                    tape, costs, plans, delay, table
-                )
+            task_ms_frames = self._fold(tape, costs, plans, delay, table)
             policy.observe_frames(self, tape, plans, task_ms_frames)
             if o.enabled:
                 _emit_run_telemetry(
@@ -482,7 +472,7 @@ class FrameEngine:
                 )
         return result
 
-    def _fold_mapped_frames(
+    def _fold(
         self,
         tape: FrameTape,
         costs: BatchCosts,
@@ -490,10 +480,11 @@ class FrameEngine:
         delay: DelayLine | None,
         table: FrameTable,
     ) -> list[dict[str, float]]:
-        """Per-frame scheduling fold for plans that place tasks off the
-        serial core: each frame's pre-priced chain goes through
-        :meth:`~repro.hw.simulator.PlatformSimulator.simulate_costed_frame`.
-        Returns the per-frame measured-time dicts for ``observe_frames``.
+        """The scheduling fold: walk each frame's pre-priced chain
+        through
+        :meth:`~repro.hw.simulator.PlatformSimulator.simulate_costed_frame`
+        and write the result to the frame table.  Returns the per-frame
+        measured-time dicts for ``observe_frames``.
         """
         simulator = self.simulator
         analyses = tape.analyses
@@ -545,118 +536,6 @@ class FrameEngine:
                 predicted_task_ms=predicted_task_ms[k],
             )
             task_ms_frames.append(frame_res.task_ms)
-        return task_ms_frames
-
-    def _fold_serial_frames(
-        self,
-        tape: FrameTape,
-        costs: BatchCosts,
-        plans: BatchPlans,
-        delay: DelayLine | None,
-        table: FrameTable,
-    ) -> list[dict[str, float]]:
-        """Vectorized scheduling fold for all-serial plans.
-
-        On one core the frame latency is the left-fold sum of the
-        chain's compute times (communication between same-core tasks
-        is free), so the whole tape folds as ``depth`` column adds
-        over a position-major compute matrix -- the identical float
-        additions, frame-parallel.  Ledger traffic folds through
-        :meth:`~repro.hw.bus.BandwidthLedger.record_many` in the
-        scalar call order; bit-exactness of all of it is pinned by the
-        batch parity suite.  Returns the per-frame measured-time dicts
-        for ``observe_frames``.
-        """
-        simulator = self.simulator
-        scale = simulator.cost_model.pixel_scale
-        cols = tape.cost_columns()
-        meta = tape.frame_columns()
-        n = len(tape)
-        n_tasks = meta.n_tasks
-        depth = int(n_tasks.max()) if n else 0
-
-        # Row p of the matrices holds each frame's p-th chain link
-        # (0.0 where the chain is shorter).
-        compute = np.zeros((depth, n))
-        out_bytes = np.zeros((depth, n))
-        by_task = costs.by_task
-        external_total = 0
-        for name, bc in by_task.items():
-            tc = cols[name]
-            compute[tc.positions, tc.frames] = bc.total_ms
-            out_bytes[tc.positions, tc.frames] = tc.columns.bytes_out * scale
-            external_total += int(bc.external_bytes.sum())
-
-        latency = np.zeros(n)
-        for p in range(depth):
-            latency += compute[p]
-
-        # Ledger: DRAM totals are integer-exact in any order; the l2
-        # records (producer output of every non-final chain link, in
-        # frame order) fold left-to-right like the scalar calls.
-        ledger = simulator.ledger
-        ledger.record("dram", float(external_total))
-        if depth > 1:
-            inner = np.arange(depth)[None, :] < (n_tasks - 1)[:, None]
-            vals = out_bytes.T[inner]
-            ledger.record_many("l2", vals[vals > 0.0])
-        ledger.frame_done(n)
-        o = obs.get_obs()
-        if o.enabled:
-            # simulate_frame's per-frame totals, summed over the tape.
-            eviction_total = sum(
-                int(bc.eviction_bytes.sum()) for bc in by_task.values()
-            )
-            o.metrics.counter("hw_eviction_bytes_total").inc(float(eviction_total))
-            o.metrics.counter("hw_external_bytes_total").inc(float(external_total))
-
-        out_ms = delay.push_many(latency) if delay is not None else latency
-        p_ms = plans.predicted_ms
-        actual_sid = meta.scenario_id
-        base = table.add_frames(
-            index=meta.index,
-            predicted_scenario=np.where(
-                plans.has_prediction, plans.predicted_scenario, actual_sid
-            ),
-            actual_scenario=actual_sid,
-            predicted_ms=np.where(np.isnan(p_ms), latency, p_ms),
-            serial_ms=latency,
-            latency_ms=latency,
-            output_ms=out_ms,
-            cores_used=plans.cores_used,
-        )
-
-        task_ms_frames: list[dict[str, float]] = [{} for _ in range(n)]
-        for name, bc in by_task.items():
-            tc = cols[name]
-            vals = bc.total_ms
-            table.fill_task_ms(name, base + tc.frames, vals)
-            for k, v in zip(tc.frames.tolist(), vals.tolist()):
-                task_ms_frames[k][name] = v
-
-        parts_list = plans.parts
-        if any(parts_list):
-            for k, parts in enumerate(parts_list):
-                for t, c in parts.items():
-                    table.fill_parts(t, base + k, c)
-
-        predicted = plans.predicted_task_ms
-        if any(d for d in predicted):
-            rows_by_task: dict[str, list[int]] = {}
-            vals_by_task: dict[str, list[float]] = {}
-            for k, d in enumerate(predicted):
-                if d:
-                    for t, v in d.items():
-                        rows = rows_by_task.get(t)
-                        if rows is None:
-                            rows = rows_by_task[t] = []
-                            vals_by_task[t] = []
-                        rows.append(base + k)
-                        vals_by_task[t].append(v)
-            for t, rows in rows_by_task.items():
-                table.fill_predicted_task_ms(
-                    t, np.asarray(rows), np.asarray(vals_by_task[t])
-                )
         return task_ms_frames
 
     @staticmethod

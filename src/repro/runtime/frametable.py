@@ -175,65 +175,6 @@ class FrameTable:
                 )[i] = ms
         self._n = i + 1
 
-    def add_frames(
-        self,
-        index: np.ndarray,
-        predicted_scenario: np.ndarray,
-        actual_scenario: np.ndarray,
-        predicted_ms: np.ndarray,
-        serial_ms: np.ndarray,
-        latency_ms: np.ndarray,
-        output_ms: np.ndarray,
-        cores_used: np.ndarray,
-        quality: str = "full",
-    ) -> int:
-        """Bulk-append the scalar fields of many frames at once.
-
-        Returns the row offset of the first appended frame.  Per-task
-        columns (measured/predicted times, partition counts) are
-        written afterwards through :meth:`fill_task_ms`,
-        :meth:`fill_predicted_task_ms` and :meth:`fill_parts` against
-        that offset.  This is the batched engine's write path: one
-        column assignment per field instead of one row write per
-        frame.
-        """
-        n_new = len(index)
-        base = self._n
-        while base + n_new > self._capacity():
-            self._grow()
-        rows = self._rows
-        sl = slice(base, base + n_new)
-        rows["index"][sl] = index
-        rows["predicted_scenario"][sl] = predicted_scenario
-        rows["actual_scenario"][sl] = actual_scenario
-        rows["predicted_ms"][sl] = predicted_ms
-        rows["serial_ms"][sl] = serial_ms
-        rows["latency_ms"][sl] = latency_ms
-        rows["output_ms"][sl] = output_ms
-        rows["cores_used"][sl] = cores_used
-        rows["quality"][sl] = self._quality_code(quality)
-        self._n = base + n_new
-        return base
-
-    def fill_task_ms(
-        self, task: str, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write one task's measured-time column at ``rows`` (absolute
-        row numbers; rows the task did not execute in stay NaN)."""
-        self._column(self._task_ms, task, np.nan, np.float64)[rows] = values
-
-    def fill_predicted_task_ms(
-        self, task: str, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write one task's predicted-time column at ``rows``."""
-        self._column(self._predicted_task_ms, task, np.nan, np.float64)[
-            rows
-        ] = values
-
-    def fill_parts(self, task: str, rows: np.ndarray, values: np.ndarray) -> None:
-        """Write one task's partition-count column at ``rows``."""
-        self._column(self._parts, task, 0, np.int16)[rows] = values
-
     # -- column views ----------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:

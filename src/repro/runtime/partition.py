@@ -128,42 +128,6 @@ class Partitioner:
 
     # -- decision ---------------------------------------------------------------
 
-    def choose(
-        self, task_ms: TMapping[str, float], budget_ms: float
-    ) -> PartitionDecision:
-        """Smallest partitioning whose predicted latency fits the budget.
-
-        Greedy: repeatedly give one more core to the split with the
-        largest latency gain.  Stops as soon as the budget is met
-        (frugal in cores) or no further split helps (budget
-        infeasible -- the decision then carries the best achievable
-        latency).
-        """
-        if budget_ms <= 0:
-            raise ValueError("budget must be positive")
-        parts: dict[str, int] = {t: 1 for t in task_ms}
-        latency = self.frame_latency_ms(task_ms, parts)
-
-        while latency > budget_ms:
-            best_task, best_gain = None, 0.0
-            for t, ms in task_ms.items():
-                k = parts[t]
-                if k >= self.max_parts or not self.splittable(t):
-                    continue
-                gain = self.task_latency_ms(t, ms, k) - self.task_latency_ms(
-                    t, ms, k + 1
-                )
-                if gain > best_gain:
-                    best_task, best_gain = t, gain
-            if best_task is None or best_gain <= 1e-9:
-                break
-            parts[best_task] += 1
-            latency -= best_gain
-
-        if latency > budget_ms:
-            obs.get_obs().metrics.counter("partition_infeasible_total").inc()
-        return self._decision(task_ms, parts)
-
     def choose_robust(
         self,
         scenario_task_ms: TMapping[int, TMapping[str, float]],

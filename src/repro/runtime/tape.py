@@ -29,7 +29,7 @@ from repro.hw.cost import ReportColumns
 from repro.imaging.pipeline import AnalysisPipeline, FrameAnalysis
 from repro.synthetic.sequence import XRaySequence
 
-__all__ = ["FrameTape", "TapeFrameColumns", "TapeTaskColumns", "record_tape"]
+__all__ = ["FrameTape", "TapeTaskColumns", "record_tape"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class TapeTaskColumns:
         The task's work reports, one per execution (frame order).
     frames:
         Frame index of each execution (``intp``).
-    positions:
-        Position of the task within its frame's report order
-        (``intp``); position 0 is the frame's first task.
     indices:
         ``analysis.index`` of each execution, as *python* ints -- the
         values the scalar loop puts in its jitter frame keys.
@@ -55,22 +52,8 @@ class TapeTaskColumns:
 
     reports: tuple
     frames: np.ndarray
-    positions: np.ndarray
     indices: tuple[int, ...]
     columns: ReportColumns
-
-
-@dataclass(frozen=True)
-class TapeFrameColumns:
-    """Per-frame scalars of a tape, in columnar form.
-
-    ``index``/``scenario_id`` mirror the analyses' fields; ``n_tasks``
-    is each frame's report count (the batched fold's chain length).
-    """
-
-    index: np.ndarray
-    scenario_id: np.ndarray
-    n_tasks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,7 +76,7 @@ class FrameTape:
     def __post_init__(self) -> None:
         if self.plan_roi_px.shape != (len(self.analyses),):
             raise ValueError("plan_roi_px must have one entry per frame")
-        # Column caches (see cost_columns / frame_columns); a plain
+        # Column caches (see cost_columns / scenario_ids); a plain
         # mutable container so the frozen value fields stay frozen.
         object.__setattr__(self, "_cache", {})
 
@@ -104,54 +87,42 @@ class FrameTape:
         """Per-task columnar report data, extracted once and cached.
 
         Tasks appear in first-appearance order across the tape -- the
-        order the scalar loop first sees them in, which fixes the
-        frame table's column-creation order in the batched fold.
+        order the scalar loop first sees them in.
         """
         cached = self._cache.get("cost_columns")
         if cached is None:
-            grouped: dict[str, tuple[list, list, list, list]] = {}
+            grouped: dict[str, tuple[list, list, list]] = {}
             for k, analysis in enumerate(self.analyses):
                 index = analysis.index
-                for pos, (name, report) in enumerate(analysis.reports.items()):
+                for name, report in analysis.reports.items():
                     entry = grouped.get(name)
                     if entry is None:
-                        entry = ([], [], [], [])
+                        entry = ([], [], [])
                         grouped[name] = entry
                     entry[0].append(report)
                     entry[1].append(k)
-                    entry[2].append(pos)
-                    entry[3].append(index)
+                    entry[2].append(index)
             cached = {
                 name: TapeTaskColumns(
                     reports=tuple(reports),
                     frames=np.asarray(ks, dtype=np.intp),
-                    positions=np.asarray(pos, dtype=np.intp),
                     indices=tuple(indices),
                     columns=ReportColumns(reports),
                 )
-                for name, (reports, ks, pos, indices) in grouped.items()
+                for name, (reports, ks, indices) in grouped.items()
             }
             self._cache["cost_columns"] = cached
         return cached
 
-    def frame_columns(self) -> TapeFrameColumns:
-        """Per-frame index/scenario/chain-length columns (cached)."""
-        cached = self._cache.get("frame_columns")
+    def scenario_ids(self) -> np.ndarray:
+        """Per-frame ``analysis.scenario_id`` column (``int16``, cached)."""
+        cached = self._cache.get("scenario_ids")
         if cached is None:
             analyses = self.analyses
-            n = len(analyses)
-            cached = TapeFrameColumns(
-                index=np.fromiter(
-                    (a.index for a in analyses), dtype=np.int32, count=n
-                ),
-                scenario_id=np.fromiter(
-                    (a.scenario_id for a in analyses), dtype=np.int16, count=n
-                ),
-                n_tasks=np.fromiter(
-                    (len(a.reports) for a in analyses), dtype=np.intp, count=n
-                ),
+            cached = np.fromiter(
+                (a.scenario_id for a in analyses), dtype=np.int16, count=len(analyses)
             )
-            self._cache["frame_columns"] = cached
+            self._cache["scenario_ids"] = cached
         return cached
 
 

@@ -52,9 +52,12 @@ class TestIdleCoreMs:
         assert idle_all[0] == 0.0
 
     def test_invalid_reserved_cores(self):
-        run = make_run("worst-case reservation", 100.0, [(40.0, 40.0, 1)])
-        with pytest.raises(ValueError):
-            idle_core_ms(run, blackford(), 33.3, reserved_cores=9)
+        # An empty run is checked too: the reservation is validated
+        # before any frame is read.
+        for frames in ([(40.0, 40.0, 1)], []):
+            run = make_run("worst-case reservation", 100.0, frames)
+            with pytest.raises(ValueError):
+                idle_core_ms(run, blackford(), 33.3, reserved_cores=9)
 
 
 class TestCoschedule:

@@ -41,20 +41,25 @@ class TestTaskLatency:
 
 
 class TestChoose:
+    """``choose_robust`` over a single scenario: the plain budget fit."""
+
     TASKS = {"RDG_FULL": 45.0, "MKX_FULL_RDG": 4.0, "REG": 2.0, "ENH": 24.0, "ZOOM": 12.0}
 
+    def choose(self, part, budget_ms):
+        return part.choose_robust({5: self.TASKS}, budget_ms=budget_ms)
+
     def test_serial_when_budget_loose(self, part):
-        d = part.choose(self.TASKS, budget_ms=200.0)
+        d = self.choose(part, 200.0)
         assert all(k == 1 for k in d.parts.values())
         assert d.cores_used == 1
 
     def test_splits_until_budget_met(self, part):
-        d = part.choose(self.TASKS, budget_ms=50.0)
+        d = self.choose(part, 50.0)
         assert d.predicted_latency_ms <= 50.0
         assert d.parts["RDG_FULL"] > 1  # biggest gain first
 
     def test_infeasible_budget_gives_best_effort(self, part):
-        d = part.choose(self.TASKS, budget_ms=1.0)
+        d = self.choose(part, 1.0)
         assert d.predicted_latency_ms > 1.0
         # Everything splittable should be maxed out.
         assert d.parts["RDG_FULL"] == 4
@@ -64,12 +69,12 @@ class TestChoose:
 
     def test_invalid_budget(self, part):
         with pytest.raises(ValueError):
-            part.choose(self.TASKS, budget_ms=0.0)
+            self.choose(part, 0.0)
 
     @given(st.floats(min_value=10.0, max_value=200.0))
     @settings(max_examples=30, deadline=None)
     def test_property_mapping_consistent(self, part, budget):
-        d = part.choose(self.TASKS, budget_ms=budget)
+        d = self.choose(part, budget)
         for t, k in d.parts.items():
             assert d.mapping.partitions(t) == k
         assert d.cores_used <= 4
@@ -90,12 +95,6 @@ class TestChooseRobust:
             assert part.frame_latency_ms(tm, d.parts) <= 48.0
         # The cheap scenario alone would not have needed the RDG split.
         assert d.parts["RDG_FULL"] > 1
-
-    def test_single_scenario_close_to_plain_choose(self, part):
-        tasks = dict(TestChoose.TASKS)
-        a = part.choose(tasks, budget_ms=50.0)
-        b = part.choose_robust({5: tasks}, budget_ms=50.0)
-        assert a.parts == b.parts
 
     def test_empty_scenarios_rejected(self, part):
         with pytest.raises(ValueError):
